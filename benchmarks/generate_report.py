@@ -133,7 +133,7 @@ case), followed by the other large-array and copy-heavy benchmarks.""",
 
 
 def main() -> None:
-    collect_all()  # one sweep, cached
+    collect_all()  # the one sweep; the row functions read its records
     parts = [HEADER]
     for title, fn, commentary in SECTIONS:
         parts.append(f"## {title}\n")

@@ -124,6 +124,9 @@ class CEmitter:
         self._names: dict[str, str] = {}
         self._dim_decls: set[str] = set()
         self._next_id = 0
+        #: scalar operand → C local holding its value, read before an
+        #: out-of-place subsasgn's base copy (see _emit_subsasgn)
+        self._preloaded: dict[str, str] = {}
 
     # -- naming -------------------------------------------------------------
 
@@ -606,6 +609,8 @@ class CEmitter:
         if isinstance(operand, Const):
             return repr(operand.value.real)
         if isinstance(operand, Var):
+            if operand.name in self._preloaded:
+                return self._preloaded[operand.name]
             vartype = self.compilation.env.of(operand.name)
             if vartype.shape.is_scalar:
                 buf = f"{self._group_buf(operand.name)}[0]"
@@ -745,6 +750,8 @@ class CEmitter:
         if isinstance(sub, Const):
             return _SubscriptDesc("1", repr(sub.value.real))
         assert isinstance(sub, Var)
+        if sub.name in self._preloaded:
+            return _SubscriptDesc("1", self._preloaded[sub.name])
         vartype = self.compilation.env.of(sub.name)
         buf = self._group_buf(sub.name)
         if vartype.shape.is_scalar:
@@ -753,14 +760,44 @@ class CEmitter:
         return _SubscriptDesc(f"({r} * {c})", f"{buf}[{{i}}]")
 
     def _emit_subsasgn(self, instr: Instr) -> None:
+        """Indexed store; an out-of-place one first copies the base.
+
+        That copy overwrites the result's group, which may also hold a
+        provably scalar RHS or subscript (core/opsem.py exempts those
+        from interfering with the result, on the premise that scalar
+        operands are read first).  Such scalars are loaded into C
+        locals, in a block of their own, before the copy.
+        """
+        v, base = instr.results[0], instr.args[0]
+        shared = []
+        if not self.plan.same_storage(v, base.name):
+            shared = [
+                arg
+                for arg in dict.fromkeys(instr.args[1:])
+                if isinstance(arg, Var)
+                and self.compilation.env.of(arg.name).shape.is_scalar
+                and self.plan.same_storage(v, arg.name)
+            ]
+        if not shared:
+            self._emit_subsasgn_store(instr)
+            return
+        self._L("{")
+        for k, arg in enumerate(shared):
+            self._L(f"    double p{k} = {self._scalar_expr(arg)};")
+        self._preloaded = {arg.name: f"p{k}" for k, arg in enumerate(shared)}
+        try:
+            self._indent(self._emit_subsasgn_store, instr)
+        finally:
+            self._preloaded = {}
+        self._L("}")
+
+    def _emit_subsasgn_store(self, instr: Instr) -> None:
         v = instr.results[0]
         base = instr.args[0]
         rhs = instr.args[1]
         subs = instr.args[2:]
         assert isinstance(base, Var)
-        if not self.plan.same_storage(v, base.name) and isinstance(
-            base, Var
-        ):
+        if not self.plan.same_storage(v, base.name):
             # materialize the base copy first, then update in place
             self._emit_copy(
                 Instr(op="copy", results=[v], args=[base])

@@ -3,23 +3,19 @@
 from repro.bench.suite import (
     BENCHMARK_NAMES,
     BenchmarkInfo,
-    BenchmarkRun,
     MFILES_ROOT,
     SUITE,
     compile_benchmark,
     count_lines,
     load_sources,
-    run_benchmark,
 )
 
 __all__ = [
     "BENCHMARK_NAMES",
     "BenchmarkInfo",
-    "BenchmarkRun",
     "MFILES_ROOT",
     "SUITE",
     "compile_benchmark",
     "count_lines",
     "load_sources",
-    "run_benchmark",
 ]

@@ -1,24 +1,28 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
-One :func:`collect` pass per benchmark produces everything the paper
-reports; the ``table*_rows``/``fig*_rows`` functions then slice it into
+One :func:`_measure` per benchmark produces everything the paper
+reports: the program compiled with and without GCTD, run under the four
+execution models.  :func:`collect_all` is the one sweep over the suite;
+the ``table*_rows``/``fig*_rows`` functions then slice its records into
 the exact rows/series of Tables 1–2 and Figures 2–6.  ``format_rows``
 renders the same ASCII layout the harness prints.
 
-Results are cached per process (the full suite takes tens of seconds),
-so the per-figure benchmark files can share one collection pass.
+Records are memoized per process (the full suite takes tens of
+seconds), so the per-figure benchmark files share one sweep.  Nothing
+measured is cached on disk: compiles may come from the artifact cache,
+but every run is measured again, so the figures always reflect the
+executor and cost-model code in the checkout.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from repro.bench.suite import (
     BENCHMARK_NAMES,
     SUITE,
-    compile_benchmark,
     count_lines,
     load_sources,
 )
@@ -57,186 +61,105 @@ class BenchRecord:
 
 _RECORDS: dict[str, BenchRecord] = {}
 
-#: Side-artifact name for a cached measurement record (see
-#: :func:`collect_record`); keyed next to the compilation entry, so a
-#: source/option/pipeline-version change invalidates it too.
-_RECORD_EXTRA = f"bench-record-seed{_SEED}.pkl"
-
 
 def _nogctd_options() -> CompilerOptions:
     return CompilerOptions(gctd=GCTDOptions(enabled=False))
 
 
 def _measure(
-    name: str, compilation=None, nogctd_compilation=None
-) -> BenchRecord:
-    """Run one benchmark under all four models and cross-check outputs."""
-    if compilation is None:
-        compilation = compile_benchmark(name)
-    if nogctd_compilation is None:
-        nogctd_compilation = compile_benchmark(
-            name, options=_nogctd_options()
+    name: str, cache_root: str | None = None, trace: bool = False
+) -> tuple[BenchRecord | None, dict]:
+    """Compile one benchmark with and without GCTD, run the four models.
+
+    Compiles go through the artifact cache at ``cache_root`` when one
+    is given.  Returns ``(record, info)``: ``info`` carries timings,
+    the cache verdict and (with ``trace``) the pass telemetry.  A
+    failure stays per-benchmark: ``record`` is None and ``info`` names
+    the error, so one broken program does not sink the sweep.  This is
+    the pool entry point of :func:`collect_all` (so it stays top-level).
+    """
+    from repro.service.cache import ArtifactCache
+    from repro.service.telemetry import Tracer
+
+    cache = ArtifactCache(cache_root) if cache_root else None
+    tracer = Tracer(label=name) if trace else None
+    info: dict = {"name": name, "cache_hit": False}
+    try:
+        sources = load_sources(name)
+        entry = f"{name}_drv"
+        start = time.perf_counter()
+        on = compile_program(
+            sources, entry, CompilerOptions(), tracer=tracer, cache=cache
         )
-    mat2c = compilation.run_mat2c(RuntimeContext(seed=_SEED))
-    mcc = compilation.run_mcc(RuntimeContext(seed=_SEED))
-    interp = compilation.run_interpreter(RuntimeContext(seed=_SEED))
-    mat2c_off = nogctd_compilation.run_mat2c(RuntimeContext(seed=_SEED))
-    if mat2c.output != mcc.output or mat2c.output != interp.output:
-        raise AssertionError(f"{name}: execution models disagree")
-    if mat2c.output != mat2c_off.output:
-        raise AssertionError(f"{name}: GCTD changed program output")
-    return BenchRecord(
-        name=name,
-        compilation=compilation,
-        mat2c=mat2c,
-        mcc=mcc,
-        interp=interp,
-        mat2c_nogctd=mat2c_off,
-    )
+        off = compile_program(
+            sources, entry, _nogctd_options(), tracer=tracer, cache=cache
+        )
+        compiled = time.perf_counter()
+        record = BenchRecord(
+            name=name,
+            compilation=on,
+            mat2c=on.run_mat2c(RuntimeContext(seed=_SEED)),
+            mcc=on.run_mcc(RuntimeContext(seed=_SEED)),
+            interp=on.run_interpreter(RuntimeContext(seed=_SEED)),
+            mat2c_nogctd=off.run_mat2c(RuntimeContext(seed=_SEED)),
+        )
+        output = record.mat2c.output
+        if output != record.mcc.output or output != record.interp.output:
+            raise AssertionError("execution models disagree")
+        if output != record.mat2c_nogctd.output:
+            raise AssertionError("GCTD changed program output")
+        info["compile_seconds"] = compiled - start
+        info["measure_seconds"] = time.perf_counter() - compiled
+        info["executors"] = {
+            model: getattr(record, model).report.execution_seconds
+            for model in ("mat2c", "mcc", "interp", "mat2c_nogctd")
+        }
+    except Exception as exc:
+        record = None
+        info["error"] = f"{type(exc).__name__}: {exc}"
+    if tracer is not None:
+        info["cache_hit"] = tracer.cache_hits > 0
+        info["traces"] = [tracer.to_dict()]
+    return record, info
 
 
 def collect(name: str) -> BenchRecord:
     """Measure one benchmark, memoized per process."""
     record = _RECORDS.get(name)
     if record is None:
-        record = _RECORDS[name] = _measure(name)
+        record, info = _measure(name)
+        if record is None:
+            raise AssertionError(f"{name}: {info['error']}")
+        _RECORDS[name] = record
     return record
 
 
-def install_records(records: dict[str, BenchRecord]) -> None:
-    """Seed the per-process memo (e.g. from a parallel batch sweep)."""
-    _RECORDS.update(records)
-
-
-def _collect_worker(name: str) -> tuple[str, BenchRecord]:
-    """Pool entry point for the parallel sweep (must stay top-level)."""
-    return name, _measure(name)
-
-
-def collect_all(jobs: int | None = None) -> dict[str, BenchRecord]:
-    """Measure the whole suite, fanning out over a process pool.
-
-    ``jobs=1`` forces the old serial sweep; anything else saturates
-    available cores via the service layer's batch machinery (degrading
-    to serial if the pool cannot start).  Results are deterministic
-    either way — every model run is seeded.
-    """
-    missing = [name for name in BENCHMARK_NAMES if name not in _RECORDS]
-    if jobs != 1 and len(missing) > 1:
-        from repro.service.driver import parallel_map
-
-        outcomes, _executor = parallel_map(_collect_worker, missing, jobs)
-        install_records(dict(outcomes))
-    return {name: collect(name) for name in BENCHMARK_NAMES}
-
-
-def collect_record(
-    name: str, cache=None, tracer=None
-) -> tuple[BenchRecord, dict]:
-    """Measure one benchmark through the artifact cache.
-
-    Compilations go through ``cache`` (so identical sources/options
-    hit), and the full measurement record is memoized as a pickled
-    side artifact next to the compilation entry, keyed by the request
-    fingerprint and the run seed.  Returns ``(record, info)`` where
-    ``info`` carries timing/caching metadata for the bench report.
-    """
-    sources = load_sources(name)
-    entry = f"{name}_drv"
-    info: dict = {"name": name, "cache_hit": False, "record_cached": False}
-    fingerprint = None
-    if cache is not None:
-        fingerprint = cache.fingerprint(sources, entry, CompilerOptions())
-        info["fingerprint"] = fingerprint
-        blob = cache.load_extra(fingerprint, _RECORD_EXTRA)
-        if blob is not None:
-            try:
-                record = pickle.loads(blob)
-            except Exception:
-                record = None  # corrupted side artifact: remeasure
-            if record is not None:
-                info["cache_hit"] = True
-                info["record_cached"] = True
-                info["compile_seconds"] = 0.0
-                info["measure_seconds"] = 0.0
-                return record, info
-
-    start = time.perf_counter()
-    compilation = compile_program(
-        sources, entry, CompilerOptions(), tracer=tracer, cache=cache
-    )
-    nogctd = compile_program(
-        sources, entry, _nogctd_options(), tracer=tracer, cache=cache
-    )
-    compiled = time.perf_counter()
-    record = _measure(name, compilation, nogctd)
-    measured = time.perf_counter()
-    info["compile_seconds"] = compiled - start
-    info["measure_seconds"] = measured - compiled
-    if tracer is not None:
-        info["cache_hit"] = tracer.cache_hits > 0
-    if cache is not None and fingerprint is not None:
-        cache.store_extra(
-            fingerprint,
-            _RECORD_EXTRA,
-            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-    return record, info
-
-
-def _record_worker(payload: dict) -> tuple[BenchRecord | None, dict]:
-    """Pool entry point for the bench command's cached sweep."""
-    from repro.service.cache import ArtifactCache
-    from repro.service.telemetry import Tracer
-
-    cache = (
-        ArtifactCache(payload["cache_root"])
-        if payload.get("cache_root")
-        else None
-    )
-    tracer = (
-        Tracer(label=payload["name"]) if payload.get("trace") else None
-    )
-    try:
-        record, info = collect_record(payload["name"], cache, tracer)
-    except Exception as exc:
-        # Per-benchmark failures stay per-benchmark: the sweep
-        # completes and `repro bench` reports them with a nonzero
-        # exit code instead of sinking the whole run.
-        record = None
-        info = {
-            "name": payload["name"],
-            "cache_hit": False,
-            "record_cached": False,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-    if tracer is not None:
-        info["traces"] = [tracer.to_dict()]
-    return record, info
-
-
-def collect_records(
-    names=None,
-    cache_root: str | None = None,
+def collect_all(
     jobs: int | None = None,
+    cache_root: str | None = None,
     trace: bool = False,
 ):
-    """Cached, parallel measurement sweep for ``python -m repro bench``.
+    """Measure the whole suite: the one sweep behind every figure.
 
-    Returns ``(records, infos, executor_label)``.
+    Fans :func:`_measure` out over a process pool (``jobs=1`` runs
+    serially; a pool that cannot start degrades to serial).  Results
+    are deterministic either way — every model run is seeded.  The
+    records it measured replace the per-process memo, so the
+    ``table*_rows``/``fig*_rows`` functions read this sweep.
+
+    Returns ``(records, infos, executor_label)``: ``infos`` has one
+    entry per benchmark, in suite order, and a failed benchmark has an
+    ``"error"`` there and no record.
     """
     from repro.service.driver import parallel_map
 
-    if names is None:
-        names = BENCHMARK_NAMES
-    payloads = [
-        {"name": name, "cache_root": cache_root or "", "trace": trace}
-        for name in names
-    ]
-    outcomes, executor = parallel_map(_record_worker, payloads, jobs)
-    records = {
-        info["name"]: record for record, info in outcomes if record
-    }
+    outcomes, executor = parallel_map(
+        partial(_measure, cache_root=cache_root, trace=trace),
+        BENCHMARK_NAMES,
+        jobs,
+    )
+    records = {info["name"]: record for record, info in outcomes if record}
+    _RECORDS.update(records)
     infos = [info for _record, info in outcomes]
     return records, infos, executor
 
@@ -449,14 +372,12 @@ def format_rows(title: str, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_all_experiments(records=None) -> str:
+def run_all_experiments() -> str:
     """Regenerate every table and figure; returns the full report.
 
-    ``records`` (name → BenchRecord) lets a batch driver inject
-    already measured results, e.g. the bench command's cached sweep.
+    Reads the per-process memo, so it prints what :func:`collect_all`
+    just measured (and measures any benchmark missing from it).
     """
-    if records:
-        install_records(records)
     sections = [
         format_rows("Table 1: Benchmark Suite Description", table1_rows()),
         format_rows(

@@ -1,7 +1,7 @@
 """The 11-program benchmark suite (paper Table 1).
 
-Loads the M-files from ``examples/mfiles/``, compiles them through the
-full pipeline, and runs them under the three execution models.  The
+Loads the M-files from ``examples/mfiles/`` and compiles them through
+the full pipeline (:mod:`repro.bench.experiments` runs them).  The
 table metadata mirrors the paper's Table 1; line counts are measured
 from the actual sources (nonempty, noncomment lines, as the paper
 counts them).
@@ -9,7 +9,7 @@ counts them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.compiler.pipeline import (
@@ -17,7 +17,6 @@ from repro.compiler.pipeline import (
     CompilerOptions,
     compile_program,
 )
-from repro.runtime.builtins import RuntimeContext
 
 #: repo-root-relative location of the benchmark M-files
 MFILES_ROOT = Path(__file__).resolve().parents[3] / "examples" / "mfiles"
@@ -165,29 +164,3 @@ def compile_benchmark(
         sources, entry=f"{name}_drv", options=options
     )
 
-
-@dataclass(slots=True)
-class BenchmarkRun:
-    name: str
-    compilation: CompilationResult
-    mat2c: object = None
-    mcc: object = None
-    interp: object = None
-
-
-def run_benchmark(
-    name: str,
-    models: tuple[str, ...] = ("mat2c", "mcc", "interp"),
-    seed: int = 20030609,
-    options: CompilerOptions | None = None,
-) -> BenchmarkRun:
-    """Compile and execute one benchmark under the selected models."""
-    compilation = compile_benchmark(name, options)
-    run = BenchmarkRun(name=name, compilation=compilation)
-    if "mat2c" in models:
-        run.mat2c = compilation.run_mat2c(RuntimeContext(seed=seed))
-    if "mcc" in models:
-        run.mcc = compilation.run_mcc(RuntimeContext(seed=seed))
-    if "interp" in models:
-        run.interp = compilation.run_interpreter(RuntimeContext(seed=seed))
-    return run

@@ -39,6 +39,7 @@ from repro.runtime.builtins import RuntimeContext
 from repro.ssa.construct import construct_ssa
 from repro.ssa.invert import invert_ssa
 from repro.typing.infer import TypeEnvironment, infer_types
+from repro.typing.shape import FreshDims
 from repro.typing.shapefold import fold_shape_queries
 from repro.vm.base import ExecutionResult
 from repro.vm.executor import Mat2CExecutor
@@ -206,15 +207,19 @@ def compile_program(
             if verify_plan and cached.verification is None:
                 _verify_result(cached, tracer)
             return cached
-    result = _run_pipeline(
-        sources,
-        entry,
-        options,
-        tracer,
-        degrade=degrade,
-        gctd_deadline_seconds=gctd_deadline_seconds,
-        injector=injector,
-    )
+    # One fresh-dimension source per compile, so the result depends on
+    # the request alone, not on what this process compiled before.
+    with FreshDims().active() as fresh:
+        result = _run_pipeline(
+            sources,
+            entry,
+            options,
+            tracer,
+            fresh,
+            degrade=degrade,
+            gctd_deadline_seconds=gctd_deadline_seconds,
+            injector=injector,
+        )
     if verify_plan:
         _verify_result(result, tracer)
     if cache is not None and not result.degraded:
@@ -235,6 +240,7 @@ def _run_pipeline(
     entry: str | None,
     options: CompilerOptions,
     tracer,
+    fresh: FreshDims,
     *,
     degrade: bool = False,
     gctd_deadline_seconds: float | None = None,
@@ -255,7 +261,7 @@ def _run_pipeline(
         )
         sp.details["iterations"] = pass_stats.iterations
     with tracer.span("infer", func):
-        env = infer_types(func)
+        env = infer_types(func, fresh)
     if options.enable_shapefold:
         for round_no in range(_MAX_INFERENCE_ROUNDS):
             with tracer.span("shapefold", func) as sp:
@@ -270,7 +276,7 @@ def _run_pipeline(
                     enable_constfold=options.enable_constfold,
                 )
             with tracer.span("infer", func):
-                env = infer_types(func)
+                env = infer_types(func, fresh)
 
     with tracer.span("gctd", func) as sp:
         degraded_reason = ""

@@ -55,7 +55,7 @@ ALL_KINDS = (
 
 # -- injection sites -------------------------------------------------------
 
-#: artifact-cache entry writes (plan/report/c_source/meta payloads).
+#: artifact-cache entry writes (the plan and meta.json files).
 SITE_CACHE_WRITE = "cache.write"
 #: C-backend invocation (:func:`repro.backend.cc.compile_and_run`).
 SITE_CC_COMPILE = "cc.compile"

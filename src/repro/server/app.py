@@ -47,30 +47,6 @@ _OTHER = "other"
 _ENDPOINTS = ("/v1/compile", "/v1/batch", "/healthz", "/readyz", "/metrics")
 
 
-def compiler_options_from(payload: dict | None):
-    """Build :class:`CompilerOptions` from the request's options dict.
-
-    Thin wrapper over the typed facade
-    (:func:`repro.api.options_from_wire`) that converts validation
-    failures to HTTP 400 — the wire semantics live in ``repro.api``.
-    """
-    from repro.api import ApiValidationError, options_from_wire
-
-    try:
-        return options_from_wire(payload)
-    except ApiValidationError as exc:
-        raise HttpError(400, str(exc)) from None
-
-
-def _validated_sources(payload: dict) -> dict[str, str]:
-    from repro.api import ApiValidationError, validated_sources
-
-    try:
-        return validated_sources(payload)
-    except ApiValidationError as exc:
-        raise HttpError(400, str(exc)) from None
-
-
 class CompileServer:
     """One daemon: asyncio front end, bounded queue, worker pool."""
 

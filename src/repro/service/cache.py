@@ -4,9 +4,7 @@ Layout (default root ``.repro-cache/``)::
 
     objects/<fingerprint>/
         plan        pickled CompilationResult (IR, env, allocation plan)
-        report      human-readable Table-2-style report
-        c_source    the C translation
-        meta.json   fingerprint, pipeline version, payload checksums
+        meta.json   fingerprint, pipeline version, plan checksum
     quarantine/<fingerprint>-<n>/   corrupted entries, kept for autopsy
     bin/<c-hash>/program    compiled binaries (see repro.backend.cc)
 
@@ -16,9 +14,14 @@ the same fingerprint race benignly (one rename wins, the content is
 identical by construction).  A small in-process LRU keeps hot results
 unpickled.
 
-Integrity: ``meta.json`` records a SHA-256 per payload file.  A load
-whose payload bytes fail their checksum (torn write, bit rot) — or
-fail to unpickle — **quarantines** the entry: it is moved aside into
+An entry holds only what a load reads back: the report and the C
+translation are derived from the plan on demand.  Entries written
+with ``report``/``c_source`` files beside the plan still load; those
+files are ignored.
+
+Integrity: ``meta.json`` records the plan's SHA-256.  A load whose
+plan bytes fail their checksum (torn write, bit rot) — or fail to
+unpickle — **quarantines** the entry: it is moved aside into
 ``quarantine/`` (never re-served, preserved for inspection), counted
 on :attr:`CacheStats.quarantined`, reported through the
 ``on_quarantine`` hook, and the caller's recompile-and-store
@@ -30,8 +33,8 @@ stays servable from the in-process LRU and the disk entry is simply
 absent.
 
 Fault injection: the optional ``injector``
-(:class:`repro.faults.FaultInjector`) mangles payload bytes or raises
-``ENOSPC`` at the ``cache.write`` site, which is how the chaos suite
+(:class:`repro.faults.FaultInjector`) mangles the bytes written or
+raises ``ENOSPC`` at the ``cache.write`` site, which is how the chaos suite
 proves the checksum/quarantine machinery actually holds.
 """
 
@@ -59,14 +62,9 @@ from repro.service.fingerprint import (
 DEFAULT_CACHE_ROOT = ".repro-cache"
 
 _PLAN = "plan"
-_REPORT = "report"
-_C_SOURCE = "c_source"
 _META = "meta.json"
 
-#: payload files covered by the meta.json checksums.
-_CHECKSUMMED = (_PLAN, _REPORT, _C_SOURCE)
-
-#: injection-site name consulted on every payload write.
+#: injection-site name consulted on every file write.
 _WRITE_SITE = "cache.write"
 
 
@@ -101,7 +99,7 @@ class _Entry:
 
 
 class _CorruptEntry(ValueError):
-    """A payload file failed its checksum or would not unpickle."""
+    """The plan failed its checksum or would not unpickle."""
 
 
 class ArtifactCache:
@@ -205,7 +203,7 @@ class ArtifactCache:
             return None
         try:
             plan_bytes = plan_path.read_bytes()
-            self._verify_checksums(directory, meta, plan_bytes)
+            self._verify_checksum(meta, plan_bytes)
             result = pickle.loads(plan_bytes)
         except Exception:
             # Payload-level corruption (torn write, flipped bytes,
@@ -219,50 +217,33 @@ class ArtifactCache:
         return result
 
     @staticmethod
-    def _verify_checksums(
-        directory: Path, meta: dict, plan_bytes: bytes
-    ) -> None:
-        """Check every recorded payload digest; raises on mismatch.
+    def _verify_checksum(meta: dict, plan_bytes: bytes) -> None:
+        """Check the recorded plan digest; raises on mismatch.
 
         Entries written before checksums existed (no ``checksums`` in
-        meta) still load — their plan payload is vetted by the
-        unpickle itself.
+        meta) still load — their plan is vetted by the unpickle itself.
         """
         checksums = meta.get("checksums")
-        if not isinstance(checksums, dict):
+        if not isinstance(checksums, dict) or _PLAN not in checksums:
             return
-        for name, expected in checksums.items():
-            if name == _PLAN:
-                data = plan_bytes
-            else:
-                data = (directory / name).read_bytes()
-            if hashlib.sha256(data).hexdigest() != expected:
-                raise _CorruptEntry(f"checksum mismatch on {name}")
+        if hashlib.sha256(plan_bytes).hexdigest() != checksums[_PLAN]:
+            raise _CorruptEntry(f"checksum mismatch on {_PLAN}")
 
     def store(self, fingerprint: str, result, meta: dict | None = None):
-        """Atomically write a full entry (plan, report, C, meta).
+        """Atomically write an entry (plan + meta).
 
-        The meta records a SHA-256 per payload, computed *before* the
+        The meta records the plan's SHA-256, computed *before* the
         bytes reach the filesystem, so any later divergence — however
         it happened — is caught by :meth:`load`.  An ``OSError`` from
         the filesystem (disk full) downgrades to a memory-only store.
         """
-        from repro.compiler.reports import full_report
-
-        payloads = {
-            _PLAN: pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-            _REPORT: full_report(result).encode("utf-8"),
-            _C_SOURCE: result.generate_c().encode("utf-8"),
-        }
+        plan_bytes = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         directory = self.object_dir(fingerprint)
         full_meta = {
             "fingerprint": fingerprint,
             "pipeline_version": self.pipeline_version,
             "created": time.time(),
-            "checksums": {
-                name: hashlib.sha256(data).hexdigest()
-                for name, data in payloads.items()
-            },
+            "checksums": {_PLAN: hashlib.sha256(plan_bytes).hexdigest()},
             **(meta or {}),
         }
         try:
@@ -278,8 +259,7 @@ class ArtifactCache:
         if tmp is not None:
             try:
                 try:
-                    for name, data in payloads.items():
-                        (tmp / name).write_bytes(self._faulty(data))
+                    (tmp / _PLAN).write_bytes(self._faulty(plan_bytes))
                     (tmp / _META).write_bytes(
                         self._faulty(
                             json.dumps(full_meta, indent=2).encode("utf-8")
@@ -300,37 +280,10 @@ class ArtifactCache:
         return directory
 
     def _faulty(self, data: bytes) -> bytes:
-        """Route payload bytes through the fault injector, if any."""
+        """Route written bytes through the fault injector, if any."""
         if self.injector is None:
             return data
         return self.injector.mangle(_WRITE_SITE, data)
-
-    # -- side artifacts (bench records, …) -------------------------------
-
-    def load_extra(self, fingerprint: str, name: str) -> bytes | None:
-        path = self.object_dir(fingerprint) / name
-        try:
-            return path.read_bytes()
-        except OSError:
-            return None
-
-    def store_extra(self, fingerprint: str, name: str, data: bytes) -> None:
-        """Atomic write of a side artifact next to an existing entry."""
-        directory = self.object_dir(fingerprint)
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".tmp-{name}-", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, directory / name)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     # -- invalidation and quarantine -------------------------------------
 

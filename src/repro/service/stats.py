@@ -69,7 +69,7 @@ def render_stats(payload: dict) -> str:
         lines.append("---------------")
         header = (
             f"{'benchmark':<12}{'compile(s)':>11}{'measure(s)':>11}"
-            f"{'cache':>7}{'record':>8}"
+            f"{'cache':>7}"
         )
         lines.append(header)
         for bench in benchmarks:
@@ -78,7 +78,6 @@ def render_stats(payload: dict) -> str:
                 f"{bench.get('compile_seconds', 0.0):>11.3f}"
                 f"{bench.get('measure_seconds', 0.0):>11.3f}"
                 f"{'hit' if bench.get('cache_hit') else 'miss':>7}"
-                f"{'hit' if bench.get('record_cached') else 'miss':>8}"
             )
         lines.append("")
         batch = payload.get("batch", {})

@@ -37,6 +37,7 @@ from repro.typing.intrinsic import (
 from repro.typing.ranges import Interval
 from repro.typing.shape import (
     ConstDim,
+    FreshDims,
     Shape,
     dim_max,
     dim_rangelen,
@@ -116,24 +117,28 @@ class TypeEnvironment:
 
 
 class TypeInference:
-    def __init__(self, func: IRFunction):
+    def __init__(self, func: IRFunction, fresh: FreshDims | None = None):
         self._func = func
         self._env = TypeEnvironment()
         self._change_counts: dict[str, int] = {}
-        self._fresh_cache: dict = {}
+        #: the compile's fresh-dimension source, and this run's memo of
+        #: the dims each transfer function drew (see FreshDims.memo)
+        self._fresh = fresh if fresh is not None else FreshDims()
+        self._fresh_memo: dict = {}
 
     def run(self) -> TypeEnvironment:
-        for param in self._func.params:
-            self._env.types[param] = VarType.unknown()
-        order = self._func.block_order()
-        for _ in range(_MAX_PASSES):
-            changed = False
-            for bid in order:
-                for instr in self._func.blocks[bid].instrs:
-                    if self._transfer(instr):
-                        changed = True
-            if not changed:
-                break
+        with self._fresh.active():
+            for param in self._func.params:
+                self._env.types[param] = VarType.unknown()
+            order = self._func.block_order()
+            for _ in range(_MAX_PASSES):
+                changed = False
+                for bid in order:
+                    for instr in self._func.blocks[bid].instrs:
+                        if self._transfer(instr):
+                            changed = True
+                if not changed:
+                    break
         return self._env
 
     # ------------------------------------------------------------------
@@ -144,13 +149,8 @@ class TypeInference:
             count = self._change_counts.get(name, 0)
             if new != old:
                 if count >= _WIDEN_AFTER:
-                    from repro.typing.shape import set_fresh_context
-
-                    set_fresh_context(self._fresh_cache, ("widen", name))
-                    try:
+                    with self._fresh.memo(self._fresh_memo, ("widen", name)):
                         new = self._widen(old, new)
-                    finally:
-                        set_fresh_context(None)
             merged = old.join(new) if new != old else old
             if merged == old:
                 return False
@@ -176,13 +176,8 @@ class TypeInference:
         return VarType(new.intrinsic, shape, widened_range)
 
     def _transfer(self, instr: Instr) -> bool:
-        from repro.typing.shape import set_fresh_context
-
-        set_fresh_context(self._fresh_cache, id(instr))
-        try:
+        with self._fresh.memo(self._fresh_memo, id(instr)):
             results = self._infer_instr(instr)
-        finally:
-            set_fresh_context(None)
         changed = False
         for name, vartype in zip(instr.results, results):
             if self._update(name, vartype):
@@ -617,6 +612,12 @@ class TypeInference:
         return out[:nresults]
 
 
-def infer_types(func: IRFunction) -> TypeEnvironment:
-    """Run inference on an SSA function, returning name → VarType."""
-    return TypeInference(func).run()
+def infer_types(
+    func: IRFunction, fresh: FreshDims | None = None
+) -> TypeEnvironment:
+    """Run inference on an SSA function, returning name → VarType.
+
+    ``fresh`` is the compile's fresh-dimension source; the inference
+    rounds of one compile share it.  Without one, the run gets its own.
+    """
+    return TypeInference(func, fresh).run()

@@ -21,6 +21,9 @@ proves S(u) ≤ S(v) when v's extents contain u's under ``max`` (the
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 
@@ -48,30 +51,12 @@ class ValueDim:
         return f"⌊{self.var}⌋"
 
 
-_fresh_counter = itertools.count()
-
-# When set, fresh dims are memoized per (context key, call index) so a
-# fixpoint engine re-running a transfer function gets the *same* dims
-# each pass — otherwise φ joins accumulate ever-growing max() terms.
-_fresh_context: dict | None = None
-_fresh_key: object = None
-_fresh_calls: int = 0
-
-
 @dataclass(frozen=True, slots=True)
 class FreshDim:
     ident: int
 
     def __str__(self) -> str:
         return f"?{self.ident}"
-
-
-def set_fresh_context(cache: dict | None, key: object = None) -> None:
-    """Enter (or, with ``cache=None``, leave) a stable-fresh scope."""
-    global _fresh_context, _fresh_key, _fresh_calls
-    _fresh_context = cache
-    _fresh_key = key
-    _fresh_calls = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,17 +72,70 @@ class OpDim:
 Dim = ConstDim | ValueDim | FreshDim | OpDim
 
 
-def fresh_dim() -> FreshDim:
-    global _fresh_calls
-    if _fresh_context is not None:
-        memo_key = (_fresh_key, _fresh_calls)
-        _fresh_calls += 1
-        dim = _fresh_context.get(memo_key)
+class FreshDims:
+    """The fresh-dimension source of one compile.
+
+    Numbering starts at 0 for every source, so the ``?N`` extents in a
+    compile's types and report do not depend on what the process, or
+    another thread, compiled before.  :meth:`active` makes this the
+    source :func:`fresh_dim` draws from in the current thread (or
+    task); :meth:`memo` makes dims repeat across re-runs of one block.
+    """
+
+    __slots__ = ("_next", "_table", "_key", "_calls")
+
+    def __init__(self) -> None:
+        self._next = itertools.count()
+        self._table: dict | None = None
+        self._key: object = None
+        self._calls = 0
+
+    def __call__(self) -> FreshDim:
+        if self._table is None:
+            return FreshDim(next(self._next))
+        memo_key = (self._key, self._calls)
+        self._calls += 1
+        dim = self._table.get(memo_key)
         if dim is None:
-            dim = FreshDim(next(_fresh_counter))
-            _fresh_context[memo_key] = dim
+            dim = self._table[memo_key] = FreshDim(next(self._next))
         return dim
-    return FreshDim(next(_fresh_counter))
+
+    @contextmanager
+    def active(self) -> Iterator["FreshDims"]:
+        token = _ACTIVE.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE.reset(token)
+
+    @contextmanager
+    def memo(self, table: dict, key: object) -> Iterator[None]:
+        """Memoize the block's dims in ``table`` per (key, call index).
+
+        A fixpoint engine re-running a transfer function then gets the
+        *same* dims each pass — otherwise φ joins accumulate
+        ever-growing max() terms.
+        """
+        self._table, self._key, self._calls = table, key, 0
+        try:
+            yield
+        finally:
+            self._table = None
+
+
+_ACTIVE: ContextVar[FreshDims | None] = ContextVar("fresh_dims", default=None)
+
+#: dims made outside any active source (e.g. the unknown type of a name
+#: looked up after its compile): negative, so never equal to a
+#: compile's own dims.
+_UNSCOPED = itertools.count(-1, -1)
+
+
+def fresh_dim() -> FreshDim:
+    source = _ACTIVE.get()
+    if source is None:
+        return FreshDim(next(_UNSCOPED))
+    return source()
 
 
 # -- smart constructors -----------------------------------------------------

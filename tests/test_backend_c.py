@@ -17,6 +17,28 @@ needs_cc = pytest.mark.skipif(
 )
 
 
+#: out-of-place indexed stores whose scalar RHS or subscript shares the
+#: result's storage group (GCTD exempts provably scalar operands from
+#: interfering with the result), after a fixed preamble
+SHARED_SCALAR_PREAMBLE = (
+    "a = [1, 2, 3; 4, 5, 6; 7, 9, 8];\n"
+    "b = [2, 0, 1; 1, 3, 0; 0, 1, 4];\n"
+    "c = a - b;\n"
+    "s = 0.75;\n"
+    "u = 2.5;\n"
+)
+SHARED_SCALAR_EPILOGUE = (
+    "fprintf('%.6f\\n', sum(sum(a)) + sum(sum(b)));\n"
+    "fprintf('%.6f\\n', sum(sum(c)) + s + u);\n"
+)
+SHARED_SCALAR_BODIES = [
+    "u = a(1, 1) + 1; a(1, 1) = u; u = s * 2 + 0;",  # scalar RHS
+    "u = a(1, 1) + 1; a(:, 2) = u; u = s * 2 + 0;",  # RHS, general path
+    "k = a(1, 1) + 1; a(k, 1) = 7; c = a + b;",  # scalar subscript
+    "k = a(1, 1) + 1; a(k) = 5; c = a + b;",  # linear subscript
+]
+
+
 def c_of(text):
     return generate_c(compile_source(text))
 
@@ -81,6 +103,18 @@ class TestGenerationProperties:
     def test_3d_supported_with_page_tracking(self):
         c = c_of("a = zeros(2, 2, 2); a(1, 1, 2) = 5; disp(a(1, 1, 2));")
         assert "_q" in c  # the true-column-count tracking
+
+    def test_shared_scalar_is_read_before_the_base_copy(self):
+        c = c_of(
+            SHARED_SCALAR_PREAMBLE
+            + SHARED_SCALAR_BODIES[0]
+            + "\n"
+            + SHARED_SCALAR_EPILOGUE
+        )
+        load = c.index("double p0 = g")
+        copy = c.index("memcpy(", load)
+        store = c.index("= p0;", copy)
+        assert load < copy < store
 
     def test_rank4_rejected(self):
         with pytest.raises(CodegenError):
@@ -175,3 +209,11 @@ class TestDifferentialExecution:
         )
         assert c_out == vm_out
         assert "2" in c_out
+
+    @pytest.mark.parametrize("body", SHARED_SCALAR_BODIES)
+    def test_shared_scalar_operand_of_out_of_place_store(self, body):
+        c_out, vm_out, c_source = run_both(
+            SHARED_SCALAR_PREAMBLE + body + "\n" + SHARED_SCALAR_EPILOGUE
+        )
+        assert "double p0 = " in c_source  # the hazard is exercised
+        assert c_out == vm_out

@@ -9,8 +9,8 @@ from repro.bench.suite import (
     compile_benchmark,
     count_lines,
     load_sources,
-    run_benchmark,
 )
+from repro.bench.experiments import collect
 from repro.core.allocation import StorageClass
 
 #: benchmarks the paper reports as fully static (`d = 0` in Table 2)
@@ -50,15 +50,16 @@ class TestSuiteStructure:
 
 
 class TestDifferentialExecution:
-    """mat2c = mcc = interpreter, per benchmark (capr/dich are the
-    slowest; they run here too — the whole suite stays under a minute)."""
+    """mat2c = mcc = interpreter = mat2c without GCTD, per benchmark
+    (through the figures' own sweep, which also checks the agreement)."""
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_models_agree(self, name):
-        run = run_benchmark(name)
-        assert run.mat2c.output == run.mcc.output
-        assert run.mat2c.output == run.interp.output
-        assert run.mat2c.output.strip(), "benchmark must print something"
+        record = collect(name)
+        assert record.mat2c.output == record.mcc.output
+        assert record.mat2c.output == record.interp.output
+        assert record.mat2c.output == record.mat2c_nogctd.output
+        assert record.mat2c.output.strip(), "benchmark must print something"
 
 
 class TestPaperCharacteristics:

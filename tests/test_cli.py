@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -93,29 +95,35 @@ class TestErrorExitCodes:
     ):
         import repro.bench.experiments as experiments
 
-        def fake_collect_records(cache_root=None, jobs=1, trace=False):
-            infos = [
-                {"name": "clos", "cache_hit": False, "error": "boom"},
-                {"name": "fdtd", "cache_hit": False},
-            ]
-            return {}, infos, "serial"
+        real_load_sources = experiments.load_sources
 
-        monkeypatch.setattr(
-            experiments, "collect_records", fake_collect_records
-        )
+        def load_sources(name):
+            if name == "clos":
+                raise RuntimeError("boom")
+            return real_load_sources(name)
+
+        monkeypatch.setattr(experiments, "BENCHMARK_NAMES", ("clos", "diff"))
+        monkeypatch.setattr(experiments, "load_sources", load_sources)
         code = main(
             [
                 "bench",
                 "--no-cache",
+                "--jobs",
+                "1",
                 "--output-dir",
                 str(tmp_path),
             ]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert "1 of 2 benchmark(s) failed" in err
-        assert "clos: boom" in err
+        captured = capsys.readouterr()
+        assert "1 of 2 benchmark(s) failed" in captured.err
+        assert "clos: RuntimeError: boom" in captured.err
+        assert "Table 2" not in captured.out
         # The BENCH artifact still lands, recording the failure.
         bench_files = list(tmp_path.glob("BENCH_*.json"))
         assert len(bench_files) == 1
-        assert '"error": "boom"' in bench_files[0].read_text()
+        payload = json.loads(bench_files[0].read_text())
+        by_name = {info["name"]: info for info in payload["benchmarks"]}
+        assert by_name["clos"]["error"] == "RuntimeError: boom"
+        assert "error" not in by_name["diff"]
+        assert by_name["diff"]["executors"]["mat2c"] > 0

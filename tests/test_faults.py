@@ -220,7 +220,7 @@ class TestCacheHardening:
         meta = json.loads(
             (cache.object_dir(fingerprint) / "meta.json").read_text()
         )
-        assert set(meta["checksums"]) == {"plan", "report", "c_source"}
+        assert set(meta["checksums"]) == {"plan"}
 
     def test_corrupt_plan_is_quarantined_not_served(self, tmp_path):
         quarantined = []
@@ -247,15 +247,6 @@ class TestCacheHardening:
         compile_program(SOURCES, cache=fresh)
         assert fresh.load(fingerprint) is not None
         assert fresh.quarantined_entries() == [f"{fingerprint}-0"]
-
-    def test_truncated_c_source_is_quarantined(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        _, fingerprint = self._store_one(cache)
-        c_path = cache.object_dir(fingerprint) / "c_source"
-        c_path.write_bytes(c_path.read_bytes()[: 10])
-        fresh = ArtifactCache(tmp_path / "cache")
-        assert fresh.load(fingerprint) is None
-        assert fresh.stats.quarantined == 1
 
     def test_injected_torn_write_round_trips_to_quarantine(
         self, tmp_path

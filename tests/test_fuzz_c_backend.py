@@ -6,7 +6,7 @@ compiler, and must print exactly what the mat2c VM prints.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.cc import compile_and_run, find_compiler
@@ -98,6 +98,9 @@ fprintf('%.6f\\n', sum(sum(c)) + s + u);
 
 
 @given(st.lists(statements, min_size=2, max_size=7))
+# a scalar RHS sharing the result's group with an out-of-place store:
+# the C once read it after the base copy had overwritten it
+@example(["u = a(1, 1) + 1;", "a(1, 1) = u;", "u = s * 2 + 0;"])
 @settings(
     max_examples=15,
     deadline=None,

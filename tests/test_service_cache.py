@@ -1,5 +1,6 @@
 """Artifact-cache tests: fingerprints, hit/miss/invalidation, repair."""
 
+import hashlib
 import json
 import multiprocessing
 import pickle
@@ -133,12 +134,34 @@ class TestCacheHitMiss:
         (fp,) = cache.entries()
         directory = cache.object_dir(fp)
         names = sorted(p.name for p in directory.iterdir())
-        assert names == ["c_source", "meta.json", "plan", "report"]
+        assert names == ["meta.json", "plan"]
         meta = json.loads((directory / "meta.json").read_text())
         assert meta["fingerprint"] == fp
         assert meta["pipeline_version"] == PIPELINE_VERSION
-        assert "int main" in (directory / "c_source").read_text()
-        assert "variables subsumed" in (directory / "report").read_text()
+        assert set(meta["checksums"]) == {"plan"}
+
+    def test_entry_with_report_and_c_source_still_loads(self, cache):
+        """An entry written with report/c_source payloads (and their
+        checksums) beside the plan is still served; the extra files
+        are ignored."""
+        result = compile_source(SRC, cache=cache)
+        (fp,) = cache.entries()
+        directory = cache.object_dir(fp)
+        extras = {
+            "report": b"variables subsumed: 1\n",
+            "c_source": result.generate_c().encode("utf-8"),
+        }
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        for name, data in extras.items():
+            (directory / name).write_bytes(data)
+            meta["checksums"][name] = hashlib.sha256(data).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+        fresh = ArtifactCache(cache.root)
+        loaded = fresh.load(fp)
+        assert loaded is not None
+        assert fresh.stats.hits == 1 and fresh.stats.quarantined == 0
+        assert loaded.run_mat2c().output == "32\n"
 
 
 class TestInvalidation:
@@ -189,13 +212,6 @@ class TestCorruptionRecovery:
         assert fresh.load(fp) is None
         assert fresh.stats.repairs == 1
         assert not cache.object_dir(fp).exists()
-
-    def test_corrupted_extra_ignored(self, cache):
-        compile_source(SRC, cache=cache)
-        (fp,) = cache.entries()
-        cache.store_extra(fp, "side.pkl", b"garbage")
-        assert cache.load_extra(fp, "side.pkl") == b"garbage"
-        assert cache.load_extra(fp, "absent.pkl") is None
 
 
 def _compile_into(root: str) -> None:

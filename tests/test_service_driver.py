@@ -134,21 +134,40 @@ class TestParallelMapHelpers:
 
 
 class TestBenchSweep:
-    def test_collect_records_cached_sweep(self, tmp_path, monkeypatch):
+    def test_warm_bench_runs_the_executors_again(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A warm `repro bench` hits the compile cache but measures
+        every model again, and prints the same tables."""
         import repro.bench.experiments as experiments
+        from repro.__main__ import main
+        from repro.compiler.pipeline import CompilationResult
 
-        monkeypatch.setattr(
-            experiments, "BENCHMARK_NAMES", ("edit",)
-        )
-        root = str(tmp_path / "cache")
-        records, infos, _ = experiments.collect_records(cache_root=root)
-        assert set(records) == {"edit"}
-        assert not infos[0]["record_cached"]
-        assert infos[0]["compile_seconds"] > 0
-        records2, infos2, _ = experiments.collect_records(
-            cache_root=root
-        )
-        assert infos2[0]["record_cached"] and infos2[0]["cache_hit"]
-        first = records["edit"].mat2c.report.execution_seconds
-        second = records2["edit"].mat2c.report.execution_seconds
-        assert first == second  # the cached record is the same measure
+        monkeypatch.setattr(experiments, "BENCHMARK_NAMES", ("clos",))
+        runs = []
+        for model in ("run_mat2c", "run_mcc", "run_interpreter"):
+            real = getattr(CompilationResult, model)
+
+            def counted(self, *args, _real=real, _model=model, **kwargs):
+                runs.append(_model)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(CompilationResult, model, counted)
+        argv = [
+            "bench",
+            "--jobs",
+            "1",
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--output-dir",
+            str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert len(runs) == 4  # mat2c, mcc, interp, mat2c without GCTD
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert len(runs) == 8
+        assert "1/1 cache hits" in warm.err
+        assert "Figure 5" in warm.out
+        assert warm.out == cold.out

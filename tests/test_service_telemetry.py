@@ -102,7 +102,6 @@ class TestStatsRendering:
                     "compile_seconds": 0.2,
                     "measure_seconds": 0.9,
                     "cache_hit": True,
-                    "record_cached": False,
                     "traces": [],
                 }
             ],
@@ -189,7 +188,8 @@ class TestBenchCommand:
         assert payload["benchmarks"][0]["executors"]["mat2c"] > 0
         assert payload["benchmarks"][0]["traces"][0]["passes"]
 
-        # warm re-run answers from the cache and reports the hit
+        # warm re-run compiles from the cache, reports the hit, and
+        # still measures every model
         assert (
             main(["bench", "--cache-dir", cache_dir, "--jobs", "1"]) == 0
         )
@@ -197,8 +197,7 @@ class TestBenchCommand:
         bench_files = sorted(tmp_path.glob("BENCH_*.json"))
         payload2 = json.loads(bench_files[-1].read_text())
         assert payload2["cache"]["hits"] == 1
-        assert payload2["benchmarks"][0]["record_cached"]
-        assert payload2["wall_seconds"] < payload["wall_seconds"]
+        assert payload2["benchmarks"][0]["executors"]["mat2c"] > 0
 
         # and `repro stats` picks the newest BENCH file up
         assert main(["stats"]) == 0
