@@ -432,7 +432,6 @@ def cmd_serve(args) -> int:
         cache_root="" if args.no_cache else (
             args.cache_dir or ".repro-cache"
         ),
-        batch_jobs=args.batch_jobs,
         drain_seconds=args.drain_seconds,
         degrade=not args.no_degrade,
         gctd_deadline_seconds=args.gctd_deadline,
@@ -826,12 +825,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=60.0,
         help="default per-request deadline in seconds",
-    )
-    p_serve.add_argument(
-        "--batch-jobs",
-        type=int,
-        default=1,
-        help="default /v1/batch parallelism",
     )
     p_serve.add_argument(
         "--drain-seconds",

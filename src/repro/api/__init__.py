@@ -1,8 +1,7 @@
 """`repro.api` — the typed facade over every process boundary.
 
 One import surface for the request/response/error shapes shared by the
-CLI (:mod:`repro.__main__`), the batch driver
-(:mod:`repro.service.driver`), and the compile server
+CLI (:mod:`repro.__main__`) and the compile server
 (:mod:`repro.server.app`); plus the machine-readable schema the drift
 test pins (:mod:`repro.api.schema`).
 """

@@ -1,12 +1,11 @@
 """Typed request/response/error types — the `/v1` wire format's home.
 
-Before this module existed the CLI, the batch driver, and the server
-each hand-rolled the same dicts; a field rename in one place silently
-broke the other two.  These dataclasses are now the single source of
-truth: everything that crosses a process boundary goes through a
-``to_wire``/``from_wire`` pair defined here, and the wire shapes are
-frozen into ``api-schema.json`` (see :mod:`repro.api.schema`) with a
-drift test.
+Before this module existed the CLI and the server each hand-rolled the
+same dicts; a field rename in one place silently broke the other.
+These dataclasses are now the single source of truth: everything that
+crosses a process boundary goes through a ``to_wire``/``from_wire``
+pair defined here, and the wire shapes are frozen into
+``api-schema.json`` (see :mod:`repro.api.schema`) with a drift test.
 
 Compatibility contract: ``to_wire`` reproduces the pre-facade `/v1`
 payloads byte-for-byte (same keys, same order, optional keys omitted
@@ -89,9 +88,8 @@ def validated_sources(payload: dict) -> dict[str, str]:
 class CompileRequest:
     """One compilation: a set of M-files plus options.
 
-    Shared by the CLI, :func:`repro.service.driver.compile_many`
-    (which reads ``sources``/``entry``/``options``/``name``), and the
-    server's `/v1/compile` body.
+    Shared by the CLI, the server's `/v1/compile` body, and each item
+    of a `/v1/batch` body.
     """
 
     sources: dict[str, str]
@@ -141,7 +139,11 @@ class CompileRequest:
 
 @dataclass(slots=True)
 class BatchRequest:
-    """The `/v1/batch` body: an ordered list of compile requests."""
+    """The `/v1/batch` body: an ordered list of compile requests.
+
+    ``jobs`` stays on the wire for compatibility but has no effect:
+    the server compiles a batch's items one after another.
+    """
 
     items: list[CompileRequest] = field(default_factory=list)
     jobs: int | None = None
@@ -174,9 +176,14 @@ class BatchRequest:
             if not request.name:
                 request.name = f"request-{index}"
             items.append(request)
+        jobs = payload.get("jobs")
+        try:
+            int(jobs or 1)
+        except (TypeError, ValueError):
+            raise ApiValidationError("jobs must be an integer") from None
         return cls(
             items=items,
-            jobs=payload.get("jobs"),
+            jobs=jobs,
             deadline_seconds=payload.get("deadline_seconds"),
         )
 
@@ -390,7 +397,7 @@ class ErrorEnvelope:
         message = (
             payload.get("message")
             or payload.get("error")
-            or f"HTTP {status}" if status else "unknown error"
+            or (f"HTTP {status}" if status else "unknown error")
         )
         detail = payload.get("detail")
         return cls(

@@ -16,9 +16,13 @@ executor and cost-model code in the checkout.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from pickle import PicklingError
 
 from repro.bench.suite import (
     BENCHMARK_NAMES,
@@ -134,6 +138,43 @@ def collect(name: str) -> BenchRecord:
     return record
 
 
+#: Exception types that indicate the *pool* (not the measured call)
+#: failed and the sweep should fall back to serial execution.
+_POOL_FAILURES = (
+    BrokenProcessPool,
+    PicklingError,
+    AttributeError,
+    ImportError,
+    OSError,
+)
+
+
+def effective_jobs(jobs: int | None, pending: int) -> int:
+    if jobs is None or jobs <= 0:
+        jobs = os.cpu_count() or 1
+    return max(1, min(jobs, pending))
+
+
+def parallel_map(func, items, jobs: int | None = None):
+    """``map`` over a process pool, degrading to serial on pool failure.
+
+    Returns ``(results, executor_label)``.  ``func`` must be a
+    module-level (picklable) callable; exceptions raised by ``func``
+    itself propagate — only pool-infrastructure failures trigger the
+    serial fallback.
+    """
+    items = list(items)
+    jobs = effective_jobs(jobs, len(items))
+    if jobs <= 1 or len(items) <= 1:
+        return [func(item) for item in items], "serial"
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(func, items)), "pool"
+    except _POOL_FAILURES as exc:
+        results = [func(item) for item in items]
+        return results, f"serial (pool failed: {type(exc).__name__})"
+
+
 def collect_all(
     jobs: int | None = None,
     cache_root: str | None = None,
@@ -151,8 +192,6 @@ def collect_all(
     entry per benchmark, in suite order, and a failed benchmark has an
     ``"error"`` there and no record.
     """
-    from repro.service.driver import parallel_map
-
     outcomes, executor = parallel_map(
         partial(_measure, cache_root=cache_root, trace=trace),
         BENCHMARK_NAMES,

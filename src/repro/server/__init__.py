@@ -11,7 +11,7 @@ Endpoints::
 
     POST /v1/compile   one compilation (answered from the artifact
                        cache on repeat submissions)
-    POST /v1/batch     a batch, fanned out through service.driver
+    POST /v1/batch     a batch, compiled item by item like /v1/compile
     GET  /healthz      liveness
     GET  /readyz       readiness (503 while starting/draining)
     GET  /metrics      Prometheus text format

@@ -7,24 +7,27 @@ Request lifecycle for ``POST /v1/compile``::
          │                └────▶ 429 Retry-After               │
          └──── await future (bounded by the request deadline) ◀┘
 
-The event loop only parses/validates and waits; all compilation runs
-on the worker pool.  Every terminal path produces a well-formed JSON
-response: compile errors are 422, worker crashes 500 (that request
-only — the pool respawns the worker), deadline expiry 504, shed load
-429, drain-time arrivals 503.
+The event loop only parses the body into its typed request (once) and
+waits; all compilation runs on the worker pool.  Every terminal path
+produces a well-formed JSON response: compile errors are 422, worker
+crashes 500 (that request only — the pool respawns the worker),
+deadline expiry 504, shed load 429, drain-time arrivals 503.
 
-The pipeline is reached exclusively through its injected-deps seams:
-``compile_program(…, tracer=, cache=)`` for singles and
-``service.driver.compile_many`` for batches, so the server adds no
-compiler knowledge of its own.  Tests may replace the whole job body
-via the ``compile_impl``/``batch_impl`` constructor hooks.
+The pipeline is reached through one body, :meth:`CompileServer._compile`:
+``compile_program(…, tracer=, cache=, degrade=, injector=)`` plus the
+metrics it feeds.  ``/v1/compile`` answers one request with it;
+``/v1/batch`` runs it once per distinct fingerprint, in request order,
+so batch items share the cache, metrics, fault injection and
+degradation of single compiles.  Tests may replace the whole job body
+via the ``compile_impl``/``batch_impl`` constructor hooks, which take
+the typed :class:`~repro.api.CompileRequest` /
+:class:`~repro.api.BatchRequest`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import os
 import signal
 import sys
 import time
@@ -234,14 +237,25 @@ class CompileServer:
 
     # -- job bodies (run on worker threads) ------------------------------
 
-    def _do_compile(self, payload: dict) -> dict:
-        from repro.api import CompileRequest, CompileResponse
-        from repro.compiler.pipeline import compile_program
-        from repro.compiler.reports import full_report
+    def _fingerprint(self, request) -> str:
         from repro.service.fingerprint import fingerprint_request
+
+        digest = (
+            self.cache.fingerprint
+            if self.cache is not None
+            else fingerprint_request
+        )
+        return digest(request.sources, request.entry, request.options)
+
+    def _compile(self, request):
+        """The one compile body: pipeline call plus its metrics.
+
+        Returns ``(result, cache_hit, wall_seconds)``; compile errors
+        are counted and re-raised.
+        """
+        from repro.compiler.pipeline import compile_program
         from repro.service.telemetry import Tracer
 
-        request = CompileRequest.from_wire(payload)
         tracer = Tracer(label=request.name or "server")
         start = time.perf_counter()
         try:
@@ -272,19 +286,18 @@ class CompileServer:
             self._verifications.inc(verdict=verdict)
             for violation in result.verification.violations:
                 self._verify_violations.inc(check=violation.check)
-        if self.cache is not None:
-            fingerprint = self.cache.fingerprint(
-                request.sources, request.entry, request.options
-            )
-        else:
-            fingerprint = fingerprint_request(
-                request.sources, request.entry, request.options
-            )
+        return result, tracer.cache_hits > 0, wall
+
+    def _do_compile(self, request) -> dict:
+        from repro.api import CompileResponse
+        from repro.compiler.reports import full_report
+
+        result, cache_hit, wall = self._compile(request)
         response = CompileResponse.from_result(
             result,
             name=request.name,
-            fingerprint=fingerprint,
-            cache_hit=tracer.cache_hits > 0,
+            fingerprint=self._fingerprint(request),
+            cache_hit=cache_hit,
             wall_seconds=wall,
             report=full_report(result),
             emit_c=request.emit_c,
@@ -295,47 +308,62 @@ class CompileServer:
             response.verification = None
         return response.to_wire()
 
-    def _parse_batch(self, payload: dict):
-        """Validate a batch payload; HttpError(400) on bad requests.
+    def _do_batch(self, batch) -> dict:
+        """Items in request order through :meth:`_compile`.
 
-        Called once on the event loop (so malformed batches are
-        rejected before admission) and again by the worker to build
-        the actual :class:`CompileRequest` list.
+        The first item with a given fingerprint leads; later ones copy
+        its outcome (single-flight) and are marked ``deduped``.
         """
-        from repro.api import ApiValidationError, BatchRequest
-
-        try:
-            batch = BatchRequest.from_wire(payload)
-        except ApiValidationError as exc:
-            raise HttpError(400, str(exc)) from None
-        requests = batch.items
-        jobs = batch.jobs or self.config.batch_jobs
-        try:
-            jobs = max(1, min(int(jobs), os.cpu_count() or 1))
-        except (TypeError, ValueError):
-            raise HttpError(400, "jobs must be an integer") from None
-        return requests, jobs
-
-    def _do_batch(self, payload: dict) -> dict:
-        from repro.service.driver import compile_many
-
-        requests, jobs = self._parse_batch(payload)
-        result = compile_many(requests, jobs=jobs, cache=self.cache)
-        for item in result.items:
-            if item.error is not None:
+        start = time.perf_counter()
+        items: list[dict] = []
+        leaders: dict[str, dict] = {}
+        for request in batch.items:
+            fingerprint = self._fingerprint(request)
+            leader = leaders.get(fingerprint)
+            item = {
+                "name": request.name,
+                "fingerprint": fingerprint,
+                "cache_hit": False,
+                "deduped": leader is not None,
+                "wall_seconds": 0.0,
+            }
+            if leader is not None:
+                item["cache_hit"] = leader["cache_hit"]
+                for key in ("error", "degraded"):
+                    if key in leader:
+                        item[key] = leader[key]
+            else:
+                leaders[fingerprint] = item
+                try:
+                    result, cache_hit, wall = self._compile(request)
+                except Exception as exc:  # per item, not batch-fatal
+                    item["error"] = f"{type(exc).__name__}: {exc}"
+                else:
+                    item.update(cache_hit=cache_hit, wall_seconds=wall)
+                    if getattr(result, "degraded", False):
+                        item["degraded"] = True
+            if "error" in item:
                 disposition = "error"
-            elif item.deduped:
+            elif item["deduped"]:
                 disposition = "deduped"
-            elif item.cache_hit:
+            elif item["cache_hit"]:
                 disposition = "cache_hit"
             else:
                 disposition = "compiled"
             self._batch_items.inc(disposition=disposition)
-        summary = result.to_dict()
-        for entry in summary["items"]:
-            entry["ok"] = entry.get("error") is None
-        summary["ok"] = result.ok
-        return summary
+            item["ok"] = "error" not in item
+            items.append(item)
+        compiled = any(
+            not item["cache_hit"] for item in leaders.values()
+        )
+        return {
+            "executor": "serial" if compiled else "cache",
+            "jobs": 1,
+            "wall_seconds": time.perf_counter() - start,
+            "cache_hits": sum(item["cache_hit"] for item in items),
+            "items": items,
+            "ok": all(item["ok"] for item in items),
+        }
 
     # -- lifecycle -------------------------------------------------------
 
@@ -492,41 +520,35 @@ class CompileServer:
             if method != "GET":
                 raise HttpError(405, "use GET")
             return 200, None, None, self.metrics.render()
-        if path == "/v1/compile":
-            if method != "POST":
-                raise HttpError(405, "use POST")
-            payload = request.json()
-            self._validate_compile(payload)  # 400 before admission
-            return await self._submit(
-                "/v1/compile",
-                functools.partial(self._compile_impl, payload),
-                self._deadline_from(payload),
-            )
-        if path == "/v1/batch":
-            if method != "POST":
-                raise HttpError(405, "use POST")
-            payload = request.json()
-            self._parse_batch(payload)  # 400 before admission
-            return await self._submit(
-                "/v1/batch",
-                functools.partial(self._batch_impl, payload),
-                self._deadline_from(payload),
-            )
-        raise HttpError(404, f"no route for {method} {path}")
+        from repro.api import BatchRequest, CompileRequest
 
-    def _validate_compile(self, payload: dict) -> None:
-        """Typed validation on the event loop; HttpError(400) early."""
-        from repro.api import ApiValidationError, CompileRequest
+        if path == "/v1/compile":
+            request_type, impl = CompileRequest, self._compile_impl
+        elif path == "/v1/batch":
+            request_type, impl = BatchRequest, self._batch_impl
+        else:
+            raise HttpError(404, f"no route for {method} {path}")
+        if method != "POST":
+            raise HttpError(405, "use POST")
+        job = self._parse(request_type, request.json())  # 400 early
+        return await self._submit(
+            path,
+            functools.partial(impl, job),
+            self._deadline_from(job.deadline_seconds),
+        )
+
+    def _parse(self, request_type, payload: dict):
+        """Parse a `/v1` body into its typed request; 400 if invalid."""
+        from repro.api import ApiValidationError
 
         try:
-            CompileRequest.from_wire(payload)
+            return request_type.from_wire(payload)
         except ApiValidationError as exc:
             raise HttpError(400, str(exc)) from None
 
     # -- admission and outcome mapping -----------------------------------
 
-    def _deadline_from(self, payload: dict) -> float:
-        seconds = payload.get("deadline_seconds")
+    def _deadline_from(self, seconds) -> float:
         if seconds is None:
             seconds = self.config.default_deadline
         try:

@@ -39,9 +39,6 @@ class ServerConfig:
     max_body_bytes: int = 8 * 1024 * 1024
     #: Artifact cache root; empty string disables caching.
     cache_root: str = ".repro-cache"
-    #: Default parallelism for ``/v1/batch`` (1 = serial inside the
-    #: worker thread; requests may raise it up to the CPU count).
-    batch_jobs: int = 1
     #: How long graceful shutdown waits for queued + in-flight jobs.
     drain_seconds: float = 10.0
     #: Seconds suggested to shed clients via ``Retry-After``.

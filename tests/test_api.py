@@ -287,6 +287,20 @@ class TestValidation:
         envelope = ErrorEnvelope.from_wire(None, 504)
         assert envelope.code == "deadline_exceeded"
         assert "504" in envelope.message
+        assert ErrorEnvelope.from_wire({}).message == "unknown error"
+
+    def test_envelope_message_without_status(self):
+        envelope = ErrorEnvelope.from_wire({"message": "boom"})
+        assert envelope.message == "boom"
+        legacy = ErrorEnvelope.from_wire({"ok": False, "error": "kaput"})
+        assert legacy.message == "kaput"
+
+    def test_batch_jobs_must_be_an_integer(self):
+        body = {"requests": [{"sources": {"a.m": "x = 1\n"}}]}
+        with pytest.raises(ApiValidationError) as exc:
+            BatchRequest.from_wire({**body, "jobs": "many"})
+        assert "jobs must be an integer" in str(exc.value)
+        assert BatchRequest.from_wire({**body, "jobs": 4}).jobs == 4
 
     def test_code_for_status_covers_server_statuses(self):
         for status in (400, 404, 405, 413, 422, 429, 500, 503, 504):
@@ -346,7 +360,7 @@ class TestServerErrorEnvelopes:
     def test_429_queue_full_envelope(self, tmp_path):
         release = threading.Event()
 
-        def impl(payload):
+        def impl(request):
             release.wait(10.0)
             return {"ok": True}
 
@@ -380,7 +394,7 @@ class TestServerErrorEnvelopes:
             assert "retry after" in envelope.summary()
 
     def test_500_crash_envelope(self, tmp_path):
-        def impl(payload):
+        def impl(request):
             raise _InjectedCrash("boom")
 
         with ServerThread(
@@ -391,7 +405,7 @@ class TestServerErrorEnvelopes:
             assert_envelope(response, 500, "internal_error")
 
     def test_504_deadline_envelope(self, tmp_path):
-        def impl(payload):
+        def impl(request):
             time.sleep(5.0)
             return {"ok": True}
 
@@ -424,16 +438,11 @@ class TestServerErrorEnvelopes:
 
 
 # --------------------------------------------------------------------------
-# the driver consumes the facade's request type
+# the facade's request type keeps its constructor
 # --------------------------------------------------------------------------
 
 
 class TestDriverUsesFacadeRequest:
-    def test_driver_request_is_api_request(self):
-        from repro.service.driver import CompileRequest as DriverRequest
-
-        assert DriverRequest is CompileRequest
-
     def test_positional_construction_still_works(self):
         request = CompileRequest(
             {"a.m": "x = 1\n"}, options=None, name="r"
