@@ -146,14 +146,12 @@ def build_allocation_plan(
         reps = sorted(by_color[color])
         for decomposed in decompose_color_class(reps, order):
             gid = len(groups)
-            root = _pick_root(decomposed.members, rep_type)
+            root = _pick_root(decomposed.members, order)
             vartype = rep_type[root]
             members: list[str] = []
             for rep in decomposed.members:
                 members.extend(graph.members(rep))
-            static_size = _group_static_size(
-                decomposed.members, rep_type
-            )
+            static_size = _group_static_size(decomposed.members, order)
             chain_merges.append(
                 (static_size is not None, len(decomposed.members) - 1)
             )
@@ -191,25 +189,21 @@ def build_allocation_plan(
     )
 
 
-def _pick_root(reps: list[str], rep_type: dict[str, VarType]) -> str:
+def _pick_root(reps: list[str], order: StorageOrder) -> str:
     """Choose the maximal member (largest static size, else first)."""
     static = [
-        (rep_type[r].static_storage_size(), r)
-        for r in reps
-        if rep_type[r].static_storage_size() is not None
+        (size, r) for r in reps if (size := order.facts(r).size) is not None
     ]
     if static and len(static) == len(reps):
         return max(static)[1]
     return reps[0]
 
 
-def _group_static_size(
-    reps: list[str], rep_type: dict[str, VarType]
-) -> int | None:
+def _group_static_size(reps: list[str], order: StorageOrder) -> int | None:
     """Stack size = maximal static size; None if any member symbolic."""
     sizes = []
     for rep in reps:
-        size = rep_type[rep].static_storage_size()
+        size = order.facts(rep).size
         if size is None:
             return None
         sizes.append(size)

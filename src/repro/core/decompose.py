@@ -3,7 +3,7 @@
 A color class V is decomposed into *groups* using the storage-size
 partial order ⪯:
 
-1. build the digraph over V with an edge from larger to smaller
+1. take the digraph over V with an edge from larger to smaller
    (x → y iff S(y) ⪯ S(x), y ≠ x) — oriented so that the roots of the
    forest below are the ⪯-*maximal* elements, as the paper's Lemma 1
    and in-degree-0 argument require;
@@ -15,7 +15,19 @@ partial order ⪯:
 
 Nodes reachable from two maximal chains are assigned wholly to the
 first tree that reaches them, matching the paper's implementation
-note.  Runs in O(V + E).
+note.
+
+Relation 1 only relates names of one intrinsic type and one
+estimability class, so the digraph falls apart into parts.  On a
+statically estimable part ⪯ is a total preorder and the digraph has
+Θ(V²) edges: building it pair by pair cost Θ(V²) ⪯ tests per class.
+Instead, those members are sorted by size once, and their SCCs, their
+Tarjan emit order and the edges the forest walk reads are derived from
+the sorted runs, in O(V log V).  Symbolic parts keep the pairwise
+availability + ``storage_le`` test, because that relation really is
+partial: O(S²) ⪯ tests for the S symbolic members.  The result —
+group order, roots and member order — is the one Tarjan's algorithm
+and the BFS give on the full digraph.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.storage_order import StorageOrder
+from repro.typing.intrinsic import Intrinsic
 
 
 @dataclass(slots=True)
@@ -39,16 +52,25 @@ def strongly_connected_components(
 ) -> list[list[str]]:
     """Iterative Tarjan SCC (no recursion: CFG-sized inputs only, but
     color classes can hold hundreds of temporaries)."""
+    return [comp for _, comps in _tarjan_runs(nodes, succ) for comp in comps]
+
+
+def _tarjan_runs(
+    nodes: list[str], succ: dict[str, list[str]]
+) -> list[tuple[str, list[list[str]]]]:
+    """Tarjan's SCCs, batched per DFS start: ``(start, emitted SCCs)``."""
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    result: list[list[str]] = []
+    runs: list[tuple[str, list[list[str]]]] = []
     counter = 0
 
     for start in nodes:
         if start in index:
             continue
+        result: list[list[str]] = []
+        runs.append((start, result))
         work: list[tuple[str, int]] = [(start, 0)]
         while work:
             node, child_idx = work[-1]
@@ -85,7 +107,37 @@ def strongly_connected_components(
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return result
+    return runs
+
+
+def _static_runs(
+    part: list[str], order: StorageOrder
+) -> list[tuple[str, list[list[str]]]]:
+    """:func:`_tarjan_runs` of one statically estimable part, edge-free.
+
+    Static sizes form a total preorder, so the SCCs are the classes of
+    equal size, and a DFS from ``v`` reaches every class no larger than
+    S(v).  When the DFS discovers ``v``, every name of size ≤ S(v)
+    that precedes ``v`` in ``part`` is already discovered, so a class
+    is discovered in ``part`` order and Tarjan pops it reversed.  A run
+    starts at each name larger than all before it and emits the
+    classes not yet emitted up to its size, smallest first.
+    """
+    classes: dict[int, list[str]] = {}
+    for v in part:
+        classes.setdefault(order.facts(v).size, []).append(v)
+    sizes = sorted(classes)
+    runs: list[tuple[str, list[list[str]]]] = []
+    emitted = 0
+    for v in part:
+        first = emitted
+        while emitted < len(sizes) and sizes[emitted] <= order.facts(v).size:
+            emitted += 1
+        if emitted > first:
+            runs.append(
+                (v, [classes[size][::-1] for size in sizes[first:emitted]])
+            )
+    return runs
 
 
 def decompose_color_class(
@@ -94,27 +146,55 @@ def decompose_color_class(
     """Partition one color class into groups per the paper's algorithm."""
     if not variables:
         return []
-    # Step 0: the ⪯ digraph, big → small.
-    succ: dict[str, list[str]] = {v: [] for v in variables}
-    for u in variables:
-        for v in variables:
-            if u != v and order.precedes(v, u):
-                succ[u].append(v)
+    # Step 0: split V into the parts of the ⪯ digraph; only symbolic
+    # parts get their edges (big → small) built.
+    parts: dict[tuple[Intrinsic, bool], list[str]] = {}
+    for v in variables:
+        facts = order.facts(v)
+        parts.setdefault((facts.intrinsic, facts.is_static), []).append(v)
+    runs: list[tuple[str, list[list[str]]]] = []
+    static_tops: list[tuple[str, list[str]]] = []  # (largest class, part)
+    succ: dict[str, list[str]] = {}
+    for (_, is_static), part in parts.items():
+        if is_static:
+            part_runs = _static_runs(part, order)
+            largest = part_runs[-1][1][-1]  # the class emitted last
+            static_tops.append((largest[0], part))
+        else:
+            for u in part:
+                succ[u] = [
+                    v for v in part if v != u and order.precedes(v, u)
+                ]
+            part_runs = _tarjan_runs(part, succ)
+        runs.extend(part_runs)
 
-    # Step 1: component graph.
-    sccs = strongly_connected_components(variables, succ)
+    # Step 1: component graph.  Parts are disconnected, so Tarjan over
+    # all of V emits each part's runs in the order of their starts.
+    position = {v: i for i, v in enumerate(variables)}
+    runs.sort(key=lambda run: position[run[0]])
+    sccs = [comp for _, comps in runs for comp in comps]
     scc_of: dict[str, int] = {}
     for i, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = i
     scc_succ: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
     in_degree: dict[int, int] = {i: 0 for i in range(len(sccs))}
+
+    def add_component_edge(a: int, b: int) -> None:
+        if a != b and b not in scc_succ[a]:
+            scc_succ[a].add(b)
+            in_degree[b] += 1
+
+    # A static part's largest class reaches every other class of the
+    # part directly, and its BFS claims them all, so the walk reads no
+    # other edge there.  Adding them in ``variables`` order builds the
+    # same set (and so the same iteration order) as the full digraph.
+    for top_member, part in static_tops:
+        for v in part:
+            add_component_edge(scc_of[top_member], scc_of[v])
     for u in variables:
-        for v in succ[u]:
-            a, b = scc_of[u], scc_of[v]
-            if a != b and b not in scc_succ[a]:
-                scc_succ[a].add(b)
-                in_degree[b] += 1
+        for v in succ.get(u, ()):
+            add_component_edge(scc_of[u], scc_of[v])
 
     # Step 2: BFS forest from in-degree-0 (maximal) components.
     assigned: dict[int, int] = {}  # scc id → group index

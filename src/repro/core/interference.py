@@ -33,6 +33,7 @@ class InterferenceGraph:
         self._adj: dict[str, set[str]] = defaultdict(set)
         self._parent: dict[str, str] = {}
         self._members: dict[str, list[str]] = {}
+        self._edges = 0
 
     # -- union-find ------------------------------------------------------
 
@@ -56,12 +57,15 @@ class InterferenceGraph:
 
     # -- edges --------------------------------------------------------------
 
-    def add_edge(self, a: str, b: str) -> None:
+    def add_edge(self, a: str, b: str) -> bool:
+        """Connect the nodes of ``a`` and ``b``; True if the edge is new."""
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
+        if ra == rb or rb in self._adj[ra]:
+            return False
         self._adj[ra].add(rb)
         self._adj[rb].add(ra)
+        self._edges += 1
+        return True
 
     def interferes(self, a: str, b: str) -> bool:
         ra, rb = self.find(a), self.find(b)
@@ -79,10 +83,14 @@ class InterferenceGraph:
             return False
         self._parent[rb] = ra
         self._members[ra].extend(self._members.pop(rb))
+        adj_a = self._adj[ra]
         for n in self._adj.pop(rb):
             self._adj[n].discard(rb)
-            self._adj[n].add(ra)
-            self._adj[ra].add(n)
+            if n in adj_a:
+                self._edges -= 1  # a shared neighbour: two edges become one
+            else:
+                self._adj[n].add(ra)
+                adj_a.add(n)
         return True
 
     # -- queries ---------------------------------------------------------
@@ -95,7 +103,7 @@ class InterferenceGraph:
         return list(self._parent)
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj.values()) // 2
+        return self._edges
 
     def degree(self, name: str) -> int:
         return len(self._adj[self.find(name)])
@@ -149,22 +157,18 @@ def build_interference_graph(
                 dest = phi.results[0]
                 for other in current:
                     if other != dest and other not in own_sources:
-                        graph.add_edge(dest, other)
-                        stats.duchain_edges += 1
+                        stats.duchain_edges += graph.add_edge(dest, other)
 
         for instr in reversed(block.instrs):
             same_value = _same_value_sources(instr)
             # multiple results of one call are simultaneously live
             for i, res_a in enumerate(instr.results):
                 for res_b in instr.results[i + 1 :]:
-                    graph.add_edge(res_a, res_b)
-                    stats.duchain_edges += 1
+                    stats.duchain_edges += graph.add_edge(res_a, res_b)
             for res in instr.results:
                 for other in current:
                     if other != res and other not in same_value:
-                        before = graph.edge_count()
-                        graph.add_edge(res, other)
-                        stats.duchain_edges += graph.edge_count() - before
+                        stats.duchain_edges += graph.add_edge(res, other)
             for res in instr.results:
                 current.discard(res)
             if instr.is_phi:

@@ -156,9 +156,7 @@ def add_operator_semantics_interference(
         for operand in _conflicting_operands(instr, type_env):
             if isinstance(operand, Var):
                 for res in instr.results:
-                    if not graph.interferes(res, operand.name):
-                        graph.add_edge(res, operand.name)
-                        added += 1
+                    added += graph.add_edge(res, operand.name)
     if stats is not None:
         stats.opsem_edges += added
     return added

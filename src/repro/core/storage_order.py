@@ -21,51 +21,69 @@ is after (§3.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.analysis.availability import AvailabilityInfo
 from repro.typing.infer import TypeEnvironment
-from repro.typing.types import VarType
+from repro.typing.intrinsic import Intrinsic
+
+
+@dataclass(frozen=True, slots=True)
+class StorageFacts:
+    """What Relation 1 reads of one name's type, computed once."""
+
+    intrinsic: Intrinsic
+    #: statically estimable (paper §3.2.1): an explicit shape tuple.
+    #: φ-joins of explicit tuples are folded to per-extent maxima by
+    #: the shape lattice, so case 2 — ``max(S(v), S(w))`` at a join —
+    #: is subsumed.
+    is_static: bool
+    #: storage size in bytes when it folds to a constant, else None
+    size: int | None
 
 
 @dataclass(slots=True)
 class StorageOrder:
-    """Decidable wrapper around ⪯ for one function's variables."""
+    """Decidable wrapper around ⪯ for one function's variables.
+
+    Each name's :class:`StorageFacts` are derived from its type on
+    first use and kept, so the order must not outlive the types it
+    reads (one :func:`~repro.core.allocation.build_allocation_plan`).
+    """
 
     env: TypeEnvironment
     availability: AvailabilityInfo
     use_symbolic: bool = True  # ablation: drop the second criterion
+    _facts: dict[str, StorageFacts] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
-    def statically_estimable(self, name: str) -> bool:
-        """Paper §3.2.1: explicit shape tuple (φ-joins of explicit
-        tuples are folded to per-extent maxima by the shape lattice, so
-        case 2 — ``max(S(v), S(w))`` at a join — is subsumed)."""
-        return self.env.of(name).shape.is_static
-
-    def static_size(self, name: str) -> int:
-        size = self.env.of(name).static_storage_size()
-        assert size is not None
-        return size
+    def facts(self, name: str) -> StorageFacts:
+        facts = self._facts.get(name)
+        if facts is None:
+            vartype = self.env.of(name)
+            facts = self._facts[name] = StorageFacts(
+                vartype.intrinsic,
+                vartype.shape.is_static,
+                vartype.static_storage_size(),
+            )
+        return facts
 
     def precedes(self, u: str, v: str) -> bool:
         """S(u) ⪯ S(v) under Relation 1 (reflexive)."""
         if u == v:
             return True
-        tu: VarType = self.env.of(u)
-        tv: VarType = self.env.of(v)
-        if tu.intrinsic != tv.intrinsic:
+        fu, fv = self.facts(u), self.facts(v)
+        if fu.intrinsic != fv.intrinsic:
             return False
-        u_static = tu.shape.is_static
-        v_static = tv.shape.is_static
-        if u_static and v_static:
-            su, sv = tu.static_storage_size(), tv.static_storage_size()
-            assert su is not None and sv is not None
-            return su <= sv
-        if u_static or v_static:
+        if fu.is_static and fv.is_static:
+            assert fu.size is not None and fv.size is not None
+            return fu.size <= fv.size
+        if fu.is_static or fv.is_static:
             # sizes in different estimability classes are never related
             return False
         if not self.use_symbolic:
             return False
         if not self.availability.available_at_definition_of(u, v):
             return False
-        return tu.shape.storage_le(tv.shape)
+        return self.env.of(u).shape.storage_le(self.env.of(v).shape)

@@ -99,7 +99,8 @@ class TypeEnvironment:
     types: dict[str, VarType] = field(default_factory=dict)
 
     def of(self, name: str) -> VarType:
-        return self.types.get(name, VarType.unknown())
+        vartype = self.types.get(name)
+        return VarType.unknown() if vartype is None else vartype
 
     def of_operand(self, operand: Operand) -> VarType:
         if isinstance(operand, Const):

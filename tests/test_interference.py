@@ -2,8 +2,12 @@
 coloring."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.pass_manager import run_cleanup_pipeline
+from repro.bench.suite import BENCHMARK_NAMES, load_sources
+from repro.compiler.pipeline import compile_program
 from repro.core.coalesce import coalesce_phi_webs
 from repro.core.coloring import (
     color_graph,
@@ -69,9 +73,58 @@ class TestGraphStructure:
 
     def test_idempotent_edges(self):
         g = InterferenceGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "a")
+        assert g.add_edge("a", "b")
+        assert not g.add_edge("b", "a")
+        assert not g.add_edge("a", "a")
         assert g.edge_count() == 1
+
+    def test_coalescing_merges_shared_edges(self):
+        g = InterferenceGraph()
+        g.add_edge("a", "x")
+        g.add_edge("b", "x")
+        g.add_edge("b", "y")
+        assert g.coalesce("a", "b")
+        assert g.edge_count() == 2 == _recounted_edges(g)
+        assert not g.add_edge("a", "y")  # now one node, already joined
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["edge", "coalesce"]),
+                st.sampled_from("abcdef"),
+                st.sampled_from("abcdef"),
+            ),
+            max_size=40,
+        )
+    )
+    def test_running_edge_count_matches_adjacency(self, ops):
+        g = InterferenceGraph()
+        for op, a, b in ops:
+            if op == "edge":
+                new = g.find(a) != g.find(b) and not g.interferes(a, b)
+                assert g.add_edge(a, b) == new
+            else:
+                g.coalesce(a, b)
+            assert g.edge_count() == _recounted_edges(g)
+
+
+def _recounted_edges(graph):
+    return sum(len(graph.neighbors(n)) for n in graph.nodes()) // 2
+
+
+class TestSuiteEdgeCounters:
+    """Telemetry counts each edge of the graph once (before coalescing)."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_counters_match_the_graph(self, name):
+        result = compile_program(load_sources(name), f"{name}_drv")
+        func, env = result.ssa_func, result.env
+        graph, stats = build_interference_graph(func)
+        add_operator_semantics_interference(
+            func, graph, env, OpsemConfig(), stats
+        )
+        assert stats.duchain_edges + stats.opsem_edges == graph.edge_count()
+        assert graph.edge_count() == _recounted_edges(graph)
 
 
 class TestDuChainInterference:

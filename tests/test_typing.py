@@ -6,9 +6,11 @@ from repro.analysis.pass_manager import run_cleanup_pipeline
 from repro.frontend.parser import parse_program
 from repro.ir.lower import lower_program
 from repro.ssa.construct import base_name, construct_ssa
-from repro.typing.infer import infer_types
+from repro.typing.infer import TypeEnvironment, infer_types
 from repro.typing.intrinsic import Intrinsic
-from repro.typing.shape import ConstDim, Shape, ValueDim
+from repro.typing.ranges import Interval
+from repro.typing.shape import ConstDim, FreshDims, Shape, ValueDim
+from repro.typing.types import VarType
 
 
 def infer(text, cleanup=True, **sources):
@@ -87,6 +89,21 @@ class TestIntrinsics:
     def test_floor_is_integer(self):
         func, env = infer("a = rand(1); b = floor(a * 10); disp(b);")
         assert type_of(func, env, "b").intrinsic is Intrinsic.INTEGER
+
+
+class TestEnvironmentLookup:
+    def test_known_name_draws_no_fresh_dim(self):
+        known = VarType(Intrinsic.REAL, Shape.scalar(), Interval.top())
+        env = TypeEnvironment({"x": known})
+        with FreshDims().active() as fresh:
+            assert env.of("x") is known
+            assert fresh().ident == 0
+
+    def test_unknown_name_gets_fresh_dims(self):
+        with FreshDims().active() as fresh:
+            unknown = TypeEnvironment().of("y")
+            assert not unknown.shape.exact
+            assert fresh().ident == unknown.shape.rank
 
 
 class TestStaticShapes:
