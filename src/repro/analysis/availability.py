@@ -26,8 +26,6 @@ from repro.ir.cfg import IRFunction
 class AvailabilityInfo:
     avail_in: dict[int, set[str]]
     avail_out: dict[int, set[str]]
-    # block id → list aligned with instrs: availability *before* each instr
-    before_instr: dict[int, list[set[str]]]
     # variable → availability set just before its (unique, SSA) definition
     at_def: dict[str, set[str]]
 
@@ -74,24 +72,21 @@ def compute_availability(func: IRFunction) -> AvailabilityInfo:
                 avail_out[bid] = new_out
                 changed = True
 
-    before_instr: dict[int, list[set[str]]] = {}
     at_def: dict[str, set[str]] = {}
     for bid in order:
         current = set(avail_in[bid])
-        per_instr: list[set[str]] = []
         for instr in func.blocks[bid].instrs:
-            per_instr.append(set(current))
-            for res in instr.results:
-                # keep the first (SSA: only) definition's view
-                at_def.setdefault(res, per_instr[-1])
-            current.update(instr.results)
-        before_instr[bid] = per_instr
+            if instr.results:
+                before = set(current)
+                for res in instr.results:
+                    # keep the first (SSA: only) definition's view
+                    at_def.setdefault(res, before)
+                current.update(instr.results)
     for param in func.params:
         at_def.setdefault(param, set())
 
     return AvailabilityInfo(
         avail_in=avail_in,
         avail_out=avail_out,
-        before_instr=before_instr,
         at_def=at_def,
     )

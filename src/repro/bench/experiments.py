@@ -1,11 +1,12 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
 One :func:`_measure` per benchmark produces everything the paper
-reports: the program compiled with and without GCTD, run under the four
-execution models.  :func:`collect_all` is the one sweep over the suite;
-the ``table*_rows``/``fig*_rows`` functions then slice its records into
-the exact rows/series of Tables 1–2 and Figures 2–6.  ``format_rows``
-renders the same ASCII layout the harness prints.
+reports: the program compiled with and without GCTD, evaluated once on
+the VM priced by three meters (mat2c, mat2c without GCTD, mcc), and
+run under the interpreter.  :func:`collect_all` is the one sweep over
+the suite; the ``table*_rows``/``fig*_rows`` functions then slice its
+records into the exact rows/series of Tables 1–2 and Figures 2–6.
+``format_rows`` renders the same ASCII layout the harness prints.
 
 Records are memoized per process (the full suite takes tens of
 seconds), so the per-figure benchmark files share one sweep.  Nothing
@@ -32,7 +33,9 @@ from repro.bench.suite import (
 )
 from repro.compiler.pipeline import CompilerOptions, compile_program
 from repro.core.gctd import GCTDOptions
+from repro.mccsim.executor import MccMeter
 from repro.runtime.builtins import RuntimeContext
+from repro.vm.executor import Mat2CMeter
 
 _SEED = 20030609
 
@@ -73,7 +76,11 @@ def _nogctd_options() -> CompilerOptions:
 def _measure(
     name: str, cache_root: str | None = None, trace: bool = False
 ) -> tuple[BenchRecord | None, dict]:
-    """Compile one benchmark with and without GCTD, run the four models.
+    """Compile one benchmark with and without GCTD, measure four models.
+
+    The VM evaluates the program once, priced by the mat2c meter under
+    each plan and by the mcc meter (GCTD options do not change the
+    executable IR), and the interpreter runs it as the oracle.
 
     Compiles go through the artifact cache at ``cache_root`` when one
     is given.  Returns ``(record, info)``: ``info`` carries timings,
@@ -99,19 +106,24 @@ def _measure(
             sources, entry, _nogctd_options(), tracer=tracer, cache=cache
         )
         compiled = time.perf_counter()
+        mat2c, mat2c_nogctd, mcc = on.run_meters(
+            [
+                Mat2CMeter(on.exec_func, on.plan),
+                Mat2CMeter(on.exec_func, off.plan),
+                MccMeter(on.exec_func),
+            ],
+            RuntimeContext(seed=_SEED),
+        )
         record = BenchRecord(
             name=name,
             compilation=on,
-            mat2c=on.run_mat2c(RuntimeContext(seed=_SEED)),
-            mcc=on.run_mcc(RuntimeContext(seed=_SEED)),
+            mat2c=mat2c,
+            mcc=mcc,
             interp=on.run_interpreter(RuntimeContext(seed=_SEED)),
-            mat2c_nogctd=off.run_mat2c(RuntimeContext(seed=_SEED)),
+            mat2c_nogctd=mat2c_nogctd,
         )
-        output = record.mat2c.output
-        if output != record.mcc.output or output != record.interp.output:
-            raise AssertionError("execution models disagree")
-        if output != record.mat2c_nogctd.output:
-            raise AssertionError("GCTD changed program output")
+        if mat2c.output != record.interp.output:
+            raise AssertionError("VM and interpreter outputs disagree")
         info["compile_seconds"] = compiled - start
         info["measure_seconds"] = time.perf_counter() - compiled
         info["executors"] = {

@@ -11,7 +11,8 @@ folding → executable IR + allocation plan (+ C, via the back end).
 
 The result object can execute the program under the mat2c VM, the mcc
 baseline model, and the AST interpreter, so one compilation supports
-the paper's whole comparison matrix.
+the paper's whole comparison matrix; :meth:`CompilationResult.run_meters`
+prices one VM evaluation under several models at once.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ from repro.frontend.parser import parse_program
 from repro.interp.interpreter import InterpResult, interpret
 from repro.ir.cfg import IRFunction
 from repro.ir.lower import lower_program
-from repro.mccsim.executor import MccExecutor
+from repro.mccsim.executor import MccMeter
 from repro.runtime.builtins import RuntimeContext
 from repro.ssa.construct import construct_ssa
 from repro.ssa.invert import invert_ssa
 from repro.typing.infer import TypeEnvironment, infer_types
 from repro.typing.shape import FreshDims
 from repro.typing.shapefold import fold_shape_queries
-from repro.vm.base import ExecutionResult
-from repro.vm.executor import Mat2CExecutor
+from repro.vm.base import Engine, ExecutionResult
+from repro.vm.executor import Mat2CMeter
 
 _MAX_INFERENCE_ROUNDS = 4
 
@@ -129,21 +130,32 @@ class CompilationResult:
         group buffers (like the generated C), which validates that the
         coalescing itself preserves the program's meaning.
         """
-        executor = Mat2CExecutor(
-            self.exec_func,
-            self.plan,
-            ctx=ctx,
-            max_steps=self.options.max_steps,
-            aliased=aliased,
+        meter = Mat2CMeter(self.exec_func, self.plan)
+        if not aliased:
+            return self.run_meters([meter], ctx)[0]
+        slots = {n: f"@group{g}" for n, g in self.plan.group_of.items()}
+        engine = Engine(
+            self.exec_func, [meter], ctx, self.options.max_steps, slots
         )
-        return executor.run()
+        return engine.run()[0]
 
     def run_mcc(self, ctx: RuntimeContext | None = None) -> ExecutionResult:
         """Execute under the mcc library/mxArray model."""
-        executor = MccExecutor(
-            self.exec_func, ctx=ctx, max_steps=self.options.max_steps
-        )
-        return executor.run()
+        return self.run_meters([MccMeter(self.exec_func)], ctx)[0]
+
+    def run_meters(
+        self, meters: list, ctx: RuntimeContext | None = None
+    ) -> list[ExecutionResult]:
+        """Evaluate the executable IR once, priced by every meter.
+
+        Returns one result per meter, in order; they share the output
+        and the step count.  A meter built from another compilation's
+        plan prices this one's IR, which is sound because GCTD options
+        never change the executable IR.
+        """
+        return Engine(
+            self.exec_func, meters, ctx, self.options.max_steps
+        ).run()
 
     def run_interpreter(
         self, ctx: RuntimeContext | None = None

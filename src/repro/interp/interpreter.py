@@ -13,7 +13,7 @@ interpreter process's much larger image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class InterpResult:
     output: str
     report: MemoryReport
     steps: int
-    env: dict[str, MArray] = field(default_factory=dict)
 
 
 class Interpreter:
@@ -112,7 +111,7 @@ class Interpreter:
 
     def run(self) -> InterpResult:
         entry = self.program.entry_function()
-        scope = self._call_function(entry, [])
+        self._call_function(entry, [])
         seconds = self.clock / CLOCK_HZ
         avg_heap_kb = (
             self._heap_weighted / self.clock / 1024.0 if self.clock else 0.0
@@ -128,7 +127,6 @@ class Interpreter:
             output=self.ctx.captured(),
             report=report,
             steps=self.steps,
-            env=scope,
         )
 
     def _tick(self, cycles: float, heap_delta: float = 0.0) -> None:

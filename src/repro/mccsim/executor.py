@@ -20,15 +20,11 @@ from dataclasses import dataclass
 from repro.analysis.liveness import compute_liveness
 from repro.ir.cfg import IRFunction
 from repro.ir.instr import Instr, Var
-from repro.memsim.costs import CostModel, DEFAULT_COSTS
+from repro.memsim.costs import DEFAULT_COSTS as COSTS
 from repro.memsim.heap import HeapModel
 from repro.memsim.meter import MemoryMeter, MemoryReport
 from repro.memsim.stack import StackModel
-from repro.runtime.builtins import RuntimeContext
 from repro.runtime.marray import MArray
-
-from repro.vm.base import BaseIRExecutor
-from repro.vm.work import computation_work
 
 MXARRAY_HEADER_BYTES = 88  # mcc 2.2's struct size (paper §4.4)
 
@@ -52,18 +48,14 @@ class _Box:
     refs: int = 1
 
 
-class MccExecutor(BaseIRExecutor):
-    def __init__(
-        self,
-        func: IRFunction,
-        ctx: RuntimeContext | None = None,
-        costs: CostModel = DEFAULT_COSTS,
-        max_steps: int = 20_000_000,
-    ) -> None:
-        super().__init__(func, ctx, costs, max_steps)
+class MccMeter:
+    """Prices an :class:`~repro.vm.base.Engine` run as mcc code."""
+
+    def __init__(self, func: IRFunction) -> None:
+        self.clock = 0.0
         self.heap = HeapModel()
         self.stack = StackModel()
-        self.meter = MemoryMeter(
+        self.memory = MemoryMeter(
             self.heap,
             self.stack,
             MCC_IMAGE_BASE + MCC_LIBRARY_MAPPED,
@@ -77,19 +69,19 @@ class MccExecutor(BaseIRExecutor):
 
     # ------------------------------------------------------------------
 
-    def on_start(self) -> None:
+    def start(self) -> None:
         self.stack.push_frame(MCC_FRAME_BYTES)
         # mcc codes were observed at a flat 16 KB stack segment
         self.stack.push_frame(MCC_FRAME_BYTES * 2)
         self.stack.pop_frame()
-        self.meter.sample(self.clock)
+        self.memory.sample(self.clock)
 
-    def on_finish(self) -> None:
+    def finish(self) -> None:
         for name in list(self._box_of):
             self._release(name)
         self.stack.pop_frame()
         self.clock += 1.0
-        self.meter.sample(self.clock)
+        self.memory.sample(self.clock)
 
     # -- box management ----------------------------------------------------
 
@@ -100,7 +92,7 @@ class MccExecutor(BaseIRExecutor):
             bytes=MXARRAY_HEADER_BYTES + payload,
         )
         self._box_of[name] = box
-        self.clock += self.costs.mxarray_create + self.costs.malloc_call
+        self.clock += COSTS.mxarray_create + COSTS.malloc_call
 
     def _release(self, name: str) -> None:
         box = self._box_of.pop(name, None)
@@ -109,7 +101,7 @@ class MccExecutor(BaseIRExecutor):
         box.refs -= 1
         if box.refs == 0:
             self.heap.free(box.addr)
-            self.clock += self.costs.mxarray_free + self.costs.free_call
+            self.clock += COSTS.mxarray_free + COSTS.free_call
 
     @staticmethod
     def _scalar_foldable(instr: Instr, args, results) -> bool:
@@ -122,14 +114,15 @@ class MccExecutor(BaseIRExecutor):
             return False
         return all(r.is_scalar for r in results)
 
-    def define(self, name: str, value: MArray, instr: Instr) -> None:
-        super().define(name, value, instr)
+    def branch(self) -> None:
+        self.clock += COSTS.branch
+
+    def define(
+        self, name: str, value: MArray, instr: Instr, args: list
+    ) -> None:
         if name in self._box_of:
             self._release(name)  # reassignment frees the old value
-        if self._scalar_foldable(instr, [
-            self.env.get(a.name) if isinstance(a, Var) else None
-            for a in instr.args
-        ], [value]):
+        if self._scalar_foldable(instr, args, [value]):
             return  # lives in a C double, not an mxArray
         if instr.op == "copy" and isinstance(instr.args[0], Var):
             # copy-on-write: share the source's box
@@ -137,30 +130,29 @@ class MccExecutor(BaseIRExecutor):
             if src_box is not None:
                 src_box.refs += 1
                 self._box_of[name] = src_box
-                self.clock += self.costs.cow_share
+                self.clock += COSTS.cow_share
                 return
         self._allocate_box(name, value)
 
-    def account(self, instr, args, results) -> None:
-        work = computation_work(instr, args, results)
+    def account(self, instr, args, results, work: float) -> None:
         operands = len(instr.args)
         if self._scalar_foldable(instr, args, results):
-            self.clock += self.costs.element_op * work
+            self.clock += COSTS.element_op * work
         elif instr.op == "copy":
-            self.clock += self.costs.cow_share
+            self.clock += COSTS.cow_share
         elif instr.op == "const":
             # mcc boxes run-time scalars as 1×1 mxArrays (paper §4.4);
             # creation cost is charged in define()
-            self.clock += self.costs.type_check
+            self.clock += COSTS.type_check
         else:
             self.clock += (
-                self.costs.library_call
-                + self.costs.type_check * max(1, operands)
-                + self.costs.element_op * work
+                COSTS.library_call
+                + COSTS.type_check * max(1, operands)
+                + COSTS.element_op * work
             )
-        self.meter.sample(self.clock)
+        self.memory.sample(self.clock)
 
-    def on_block_end(self, block_id: int) -> None:
+    def block_end(self, block_id: int) -> None:
         # mxArrays created within library calls are deallocated right
         # after their last use (§4.4) — compiler temporaries, in our
         # IR.  *Named* user variables persist until reassigned.
@@ -168,7 +160,7 @@ class MccExecutor(BaseIRExecutor):
         for name in list(self._box_of):
             if name not in live_out and "$" in name:
                 self._release(name)
-        self.meter.sample(self.clock)
+        self.memory.sample(self.clock)
 
-    def build_report(self) -> MemoryReport:
-        return self.meter.report()
+    def report(self) -> MemoryReport:
+        return self.memory.report()

@@ -1,12 +1,13 @@
 """Differential-execution harness: the plan's dynamic cross-check.
 
 Runs one compiled program under every execution model the repo has —
-the GCTD-coalesced mat2c VM (in both name-keyed and storage-aliased
-modes), the mcc baseline model, and the tree-walking interpreter
-(the semantic oracle) — and diffs the printed outputs.  The aliased
-mat2c run is the sharp one: reads and writes go through the shared
-group buffers, so an unsound coalescing decision corrupts values and
-shows up as an output mismatch.
+the tree-walking interpreter (the semantic oracle), one name-keyed VM
+evaluation priced by both the mat2c and the mcc meter (so those two
+share their output by construction), and the storage-aliased mat2c
+run — and diffs the printed outputs.  The aliased run is the sharp
+one: reads and writes go through the shared group buffers, so an
+unsound coalescing decision corrupts values and shows up as an output
+mismatch.
 
 It also cross-checks the memory meter against the plan: the mat2c
 stack segment must equal the page-rounded environment-plus-frame size
@@ -20,8 +21,9 @@ from dataclasses import dataclass, field
 
 from repro.memsim.heap import PAGE_SIZE
 from repro.memsim.stack import INITIAL_STACK_BYTES
+from repro.mccsim.executor import MccMeter
 from repro.runtime.builtins import RuntimeContext
-from repro.vm.executor import FRAME_OVERHEAD_BYTES
+from repro.vm.executor import FRAME_OVERHEAD_BYTES, Mat2CMeter
 
 #: the default RNG seed every model runs under (same as the bench suite)
 DEFAULT_SEED = 20030609
@@ -80,23 +82,22 @@ def run_differential(
     """Execute ``result`` under all models and diff against the oracle.
 
     ``result`` is a :class:`repro.compiler.pipeline.CompilationResult`;
-    every model gets its own :class:`RuntimeContext` with the same
-    seed, so ``rand`` streams are identical across models.
+    every evaluation gets its own :class:`RuntimeContext` with the
+    same seed, so ``rand`` streams are identical across models.
     """
     report = DifferentialReport(name=name)
 
     oracle = result.run_interpreter(RuntimeContext(seed=seed))
-    runs = {
-        "mat2c": result.run_mat2c(RuntimeContext(seed=seed)),
-        "mat2c-aliased": result.run_mat2c(
-            RuntimeContext(seed=seed), aliased=True
-        ),
-        "mcc": result.run_mcc(RuntimeContext(seed=seed)),
-    }
-    report.models_run = ("interp", *runs)
-    report.steps["interp"] = oracle.steps
-    for model, run in runs.items():
+    mat2c, mcc = result.run_meters(
+        [Mat2CMeter(result.exec_func, result.plan),
+         MccMeter(result.exec_func)],
+        RuntimeContext(seed=seed),
+    )
+    aliased = result.run_mat2c(RuntimeContext(seed=seed), aliased=True)
+    report.models_run = ("interp", "mat2c", "mat2c-aliased", "mcc")
+    for model, run in zip(report.models_run, (oracle, mat2c, aliased, mcc)):
         report.steps[model] = run.steps
+    for model, run in (("mat2c", mat2c), ("mat2c-aliased", aliased)):
         if run.output != oracle.output:
             report.problems.append(
                 f"{model} output diverges from the interpreter oracle "
@@ -108,7 +109,7 @@ def run_differential(
         )
 
     if check_meter:
-        _check_meter(result, runs["mat2c"], report)
+        _check_meter(result, mat2c, report)
     return report
 
 

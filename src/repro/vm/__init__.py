@@ -1,13 +1,13 @@
-"""mat2c execution model: runs GCTD-allocated IR on the memory simulator."""
+"""The IR execution engine and the mat2c meter (GCTD-allocated storage)."""
 
-from repro.vm.base import BaseIRExecutor, ExecutionLimitExceeded, ExecutionResult
-from repro.vm.executor import Mat2CExecutor
+from repro.vm.base import Engine, ExecutionLimitExceeded, ExecutionResult
+from repro.vm.executor import Mat2CMeter
 from repro.vm.work import computation_work
 
 __all__ = [
-    "BaseIRExecutor",
+    "Engine",
     "ExecutionLimitExceeded",
     "ExecutionResult",
-    "Mat2CExecutor",
+    "Mat2CMeter",
     "computation_work",
 ]

@@ -1,15 +1,25 @@
-"""Shared IR execution engine.
+"""The IR execution engine: one evaluation, priced by many meters.
 
-Both executors — the mat2c model (GCTD-allocated storage) and the mcc
-model (everything a heap ``mxArray``) — run the same SSA-inverted IR
-through this engine, so their *semantics* are identical by
-construction and only their storage/cost accounting differs (the
-subclass hooks).
+The mat2c model (GCTD-allocated storage, :mod:`repro.vm.executor`) and
+the mcc model (everything a heap ``mxArray``, :mod:`repro.mccsim`)
+differ only in what an instruction *costs*, never in what it computes.
+So :class:`Engine` evaluates the SSA-inverted IR once and hands every
+instruction — its operand values, its results and its
+:func:`~repro.vm.work.computation_work`, computed once — to a list of
+meters.  Each meter keeps its own clock, heap, stack and memory meter
+and answers the hooks ``start``, ``define``, ``account``, ``branch``,
+``block_end``, ``finish`` and ``report``.  One run yields one
+:class:`ExecutionResult` per meter; the output and step count are the
+evaluation's and so are shared.
+
+The engine keys its environment by name, or — given a ``slots`` map
+from names to storage groups — by group, so reads and writes go
+through shared buffers like the generated C (the aliased mat2c run).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.frontend.source import MatlabError
 from repro.ir.cfg import IRFunction
@@ -23,13 +33,13 @@ from repro.ir.instr import (
     StrConst,
     Var,
 )
-from repro.memsim.costs import CostModel, DEFAULT_COSTS
 from repro.memsim.meter import MemoryReport
 from repro.runtime import ops
 from repro.runtime.builtins import RuntimeContext, call_builtin
 from repro.runtime.errors import MatlabRuntimeError
 from repro.runtime.indexing import COLON, subsasgn, subsref
 from repro.runtime.marray import MArray
+from repro.vm.work import computation_work
 
 
 class ExecutionLimitExceeded(MatlabError):
@@ -41,7 +51,6 @@ class ExecutionResult:
     output: str
     report: MemoryReport
     steps: int
-    env: dict[str, MArray] = field(default_factory=dict)
 
 
 _BINOPS = {
@@ -66,44 +75,30 @@ _BINOPS = {
 }
 
 
-class BaseIRExecutor:
-    """Executes non-SSA IR; subclasses implement the accounting hooks."""
+class Engine:
+    """Executes non-SSA IR once; each of ``meters`` prices the run."""
 
     def __init__(
         self,
         func: IRFunction,
+        meters: list,
         ctx: RuntimeContext | None = None,
-        costs: CostModel = DEFAULT_COSTS,
         max_steps: int = 20_000_000,
+        slots: dict[str, str] | None = None,
     ) -> None:
         self.func = func
+        self.meters = meters
         self.ctx = ctx or RuntimeContext()
-        self.costs = costs
         self.max_steps = max_steps
+        #: name → environment key; names not in it are keyed by name
+        self.slots = slots or {}
         self.env: dict[str, MArray] = {}
-        self.clock = 0.0
         self.steps = 0
 
-    # -- subclass hooks ----------------------------------------------------
-
-    def on_start(self) -> None: ...
-
-    def on_finish(self) -> None: ...
-
-    def account(
-        self, instr: Instr, args: list, results: list[MArray]
-    ) -> None:
-        """Charge cycles and update memory models for one instruction."""
-
-    def on_block_end(self, block_id: int) -> None: ...
-
-    def build_report(self) -> MemoryReport:
-        return MemoryReport()
-
-    # -- main loop ------------------------------------------------------
-
-    def run(self) -> ExecutionResult:
-        self.on_start()
+    def run(self) -> list[ExecutionResult]:
+        meters = self.meters
+        for meter in meters:
+            meter.start()
         block_id = self.func.entry
         while True:
             block = self.func.blocks[block_id]
@@ -114,7 +109,8 @@ class BaseIRExecutor:
                         f"exceeded {self.max_steps} executed instructions"
                     )
                 self._execute(instr)
-            self.on_block_end(block_id)
+            for meter in meters:
+                meter.block_end(block_id)
             # count the control transfer too: an empty loop (all body
             # instructions dead-coded away) must still hit the limit
             self.steps += 1
@@ -129,26 +125,27 @@ class BaseIRExecutor:
                 block_id = term.target
             elif isinstance(term, Branch):
                 cond = self._operand_value(term.condition)
-                self.clock += self.costs.branch
+                for meter in meters:
+                    meter.branch()
                 block_id = (
                     term.true_target if cond.is_true() else term.false_target
                 )
             else:
                 raise MatlabRuntimeError("block without terminator")
-        self.on_finish()
-        return ExecutionResult(
-            output=self.ctx.captured(),
-            report=self.build_report(),
-            steps=self.steps,
-            env=self.env,
-        )
+        for meter in meters:
+            meter.finish()
+        output = self.ctx.captured()
+        return [
+            ExecutionResult(output, meter.report(), self.steps)
+            for meter in meters
+        ]
 
     # -- evaluation ----------------------------------------------------
 
     def _operand_value(self, operand: Operand) -> MArray:
         if isinstance(operand, Var):
             try:
-                return self.env[operand.name]
+                return self.env[self.slots.get(operand.name, operand.name)]
             except KeyError:
                 raise MatlabRuntimeError(
                     f"use of undefined variable {operand.name!r}"
@@ -164,23 +161,24 @@ class BaseIRExecutor:
             label = instr.args[1].value  # type: ignore[union-attr]
             self.ctx.write(f"{label} =\n")
             call_builtin(self.ctx, "disp", [value])
-            self.account(instr, [value], [])
-            return
-        args: list = []
-        for operand in instr.args:
-            if isinstance(operand, StrConst) and operand.value == ":" and (
-                op in ("subsref", "subsasgn")
-            ):
-                args.append(COLON)
-            else:
-                args.append(self._operand_value(operand))
-        results = self._evaluate(instr, args)
-        for name, value in zip(instr.results, results):
-            self.define(name, value, instr)
-        self.account(instr, args, results)
-
-    def define(self, name: str, value: MArray, instr: Instr) -> None:
-        self.env[name] = value
+            args, results = [value], []
+        else:
+            args = []
+            for operand in instr.args:
+                if isinstance(operand, StrConst) and operand.value == ":" and (
+                    op in ("subsref", "subsasgn")
+                ):
+                    args.append(COLON)
+                else:
+                    args.append(self._operand_value(operand))
+            results = self._evaluate(instr, args)
+            for name, value in zip(instr.results, results):
+                self.env[self.slots.get(name, name)] = value
+        work = computation_work(instr, args, results)
+        for meter in self.meters:
+            for name, value in zip(instr.results, results):
+                meter.define(name, value, instr, args)
+            meter.account(instr, args, results, work)
 
     def _evaluate(self, instr: Instr, args: list) -> list[MArray]:
         op = instr.op

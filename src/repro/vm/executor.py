@@ -1,7 +1,8 @@
 """The mat2c execution model: GCTD-allocated storage.
 
-Runs the inverted IR against the :mod:`repro.memsim` machine exactly as
-the paper's generated C would use memory:
+:class:`Mat2CMeter` prices an :class:`~repro.vm.base.Engine` run on the
+:mod:`repro.memsim` machine exactly as the paper's generated C would
+use memory:
 
 * one stack frame holding every STACK group at its maximal size, fixed
   for the activation (§3.2.1) — scalars and statically-sized arrays
@@ -25,15 +26,11 @@ from repro.core.allocation import (
 )
 from repro.ir.cfg import IRFunction
 from repro.ir.instr import Instr, Var
-from repro.memsim.costs import CostModel, DEFAULT_COSTS
+from repro.memsim.costs import DEFAULT_COSTS as COSTS
 from repro.memsim.heap import HeapModel
 from repro.memsim.meter import MemoryMeter, MemoryReport
 from repro.memsim.stack import StackModel
-from repro.runtime.builtins import RuntimeContext
 from repro.runtime.marray import MArray
-
-from repro.vm.base import BaseIRExecutor
-from repro.vm.work import computation_work
 
 #: fixed text+data of a mat2c binary, plus per-instruction inlined code
 MAT2C_IMAGE_BASE = 400 * 1024
@@ -49,31 +46,19 @@ class _HeapBuffer:
     size: int
 
 
-class Mat2CExecutor(BaseIRExecutor):
-    def __init__(
-        self,
-        func: IRFunction,
-        plan: AllocationPlan,
-        ctx: RuntimeContext | None = None,
-        costs: CostModel = DEFAULT_COSTS,
-        max_steps: int = 20_000_000,
-        aliased: bool = False,
-    ) -> None:
-        super().__init__(func, ctx, costs, max_steps)
+class Mat2CMeter:
+    """Prices an :class:`~repro.vm.base.Engine` run under ``plan``."""
+
+    def __init__(self, func: IRFunction, plan: AllocationPlan) -> None:
         self.plan = plan
-        #: aliased mode keys the environment by *storage group* instead
-        #: of name — reads and writes go through the shared buffer just
-        #: like the generated C, so a coalescing bug that a name-keyed
-        #: environment would hide corrupts output here.  Used by the
-        #: soundness-validation tests.
-        self.aliased = aliased
+        self.clock = 0.0
         self.heap = HeapModel()
         self.stack = StackModel()
         image = MAT2C_IMAGE_BASE + MAT2C_IMAGE_PER_INSTR * sum(
             len(b.instrs) for b in func.blocks.values()
         )
         # inlined code is hot: most of the (larger) image is resident
-        self.meter = MemoryMeter(
+        self.memory = MemoryMeter(
             self.heap, self.stack, image,
             resident_image_bytes=int(image * 0.85),
         )
@@ -81,30 +66,30 @@ class Mat2CExecutor(BaseIRExecutor):
 
     # ------------------------------------------------------------------
 
-    def on_start(self) -> None:
+    def start(self) -> None:
         self.stack.push_frame(
             self.plan.stack_frame_bytes() + FRAME_OVERHEAD_BYTES
         )
-        self.meter.sample(self.clock)
+        self.memory.sample(self.clock)
 
-    def on_finish(self) -> None:
+    def finish(self) -> None:
         for buffer in self._buffers.values():
             self.heap.free(buffer.addr)
-            self.clock += self.costs.free_call
+            self.clock += COSTS.free_call
         self._buffers.clear()
         self.stack.pop_frame()
         self.clock += 1.0
-        self.meter.sample(self.clock)
+        self.memory.sample(self.clock)
 
-    def _slot(self, name: str) -> str:
-        gid = self.plan.group_of.get(name)
-        return f"@group{gid}" if gid is not None else name
+    def branch(self) -> None:
+        self.clock += COSTS.branch
 
-    def define(self, name: str, value: MArray, instr: Instr) -> None:
-        if self.aliased:
-            self.env[self._slot(name)] = value
-        else:
-            super().define(name, value, instr)
+    def block_end(self, block_id: int) -> None:
+        pass
+
+    def define(
+        self, name: str, value: MArray, instr: Instr, args: list
+    ) -> None:
         gid = self.plan.group_of.get(name)
         if gid is None:
             return
@@ -117,31 +102,24 @@ class Mat2CExecutor(BaseIRExecutor):
         if buffer is None:
             addr = self.heap.malloc(max(need, 8))
             self._buffers[gid] = _HeapBuffer(addr, max(need, 8))
-            self.clock += self.costs.malloc_call
+            self.clock += COSTS.malloc_call
             return
         if mark != NO_RESIZE:
-            self.clock += self.costs.resize_check
+            self.clock += COSTS.resize_check
         if need > buffer.size:
             new_addr, new_pages = self.heap.realloc(buffer.addr, need)
             buffer.addr, buffer.size = new_addr, need
             self.clock += (
-                self.costs.realloc_base
-                + self.costs.page_touch * new_pages
+                COSTS.realloc_base
+                + COSTS.page_touch * new_pages
             )
         elif need < buffer.size and mark == MAY_RESIZE:
             # shrink to the member's needs to relieve heap pressure
             new_addr, _ = self.heap.realloc(buffer.addr, max(need, 8))
             buffer.addr, buffer.size = new_addr, max(need, 8)
-            self.clock += self.costs.realloc_base * 0.25
+            self.clock += COSTS.realloc_base * 0.25
 
-    def _operand_value(self, operand):
-        if self.aliased and isinstance(operand, Var):
-            slot = self._slot(operand.name)
-            if slot in self.env:
-                return self.env[slot]
-        return super()._operand_value(operand)
-
-    def account(self, instr, args, results) -> None:
+    def account(self, instr, args, results, work: float) -> None:
         if instr.op == "copy" and isinstance(instr.args[0], Var):
             src = instr.args[0].name
             dst = instr.results[0]
@@ -149,26 +127,25 @@ class Mat2CExecutor(BaseIRExecutor):
                 return  # identity assignment: folded away
             # cross-group copy: move the bytes
             self.clock += (
-                self.costs.element_copy * results[0].numel + 2.0
+                COSTS.element_copy * results[0].numel + 2.0
             )
             self._touch_write(dst, results)
-            self.meter.sample(self.clock)
+            self.memory.sample(self.clock)
             return
-        work = computation_work(instr, args, results)
         op = instr.op
         if op == "subsref":
-            self.clock += self.costs.subsref_compiled * max(1.0, work)
+            self.clock += COSTS.subsref_compiled * max(1.0, work)
         elif op == "subsasgn":
-            self.clock += self.costs.subsasgn_compiled * max(1.0, work)
+            self.clock += COSTS.subsasgn_compiled * max(1.0, work)
         elif op == "display" or (
             instr.is_call and instr.callee in ("disp", "fprintf")
         ):
-            self.clock += self.costs.library_call + work
+            self.clock += COSTS.library_call + work
         else:
-            self.clock += self.costs.scalar_op * work
+            self.clock += COSTS.scalar_op * work
         if results:
             self._touch_write(instr.results[0], results)
-        self.meter.sample(self.clock)
+        self.memory.sample(self.clock)
 
     def _touch_write(self, name: str, results: list[MArray]) -> None:
         gid = self.plan.group_of.get(name)
@@ -180,5 +157,5 @@ class Mat2CExecutor(BaseIRExecutor):
                 buffer.size, results[0].byte_size() or 1
             ))
 
-    def build_report(self) -> MemoryReport:
-        return self.meter.report()
+    def report(self) -> MemoryReport:
+        return self.memory.report()

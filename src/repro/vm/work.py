@@ -1,8 +1,9 @@
 """Pure computational work (scalar operations) of one IR instruction.
 
 This is the cost both compilation models share — the actual numeric
-work.  What distinguishes mat2c, mcc, and the interpreter is the
-*overhead* they add around it, charged by each executor.
+work — so :class:`repro.vm.base.Engine` computes it once per executed
+instruction and hands it to every meter.  What distinguishes mat2c
+and mcc is the *overhead* each meter adds around it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,3 @@ def computation_work(instr: Instr, args: list, results: list[MArray]) -> float:
     if args and isinstance(args[0], MArray):
         return float(args[0].numel)
     return 1.0
-
-
-def moved_bytes(results: list[MArray]) -> int:
-    return sum(r.byte_size() for r in results)

@@ -6,10 +6,9 @@ import pytest
 
 from repro.compiler.pipeline import CompilerOptions, compile_source
 from repro.ir.instr import Instr
-from repro.mccsim.executor import MXARRAY_HEADER_BYTES, MccExecutor
+from repro.mccsim.executor import MXARRAY_HEADER_BYTES, MccMeter
 from repro.runtime.builtins import RuntimeContext
 from repro.runtime.marray import MArray
-from repro.vm.executor import Mat2CExecutor
 from repro.vm.work import computation_work
 
 
@@ -81,32 +80,32 @@ class TestWorkEstimator:
 class TestMccModelAccounting:
     def run_mcc(self, text):
         result = compile_source(text)
-        executor = MccExecutor(result.exec_func, RuntimeContext(seed=1))
-        run = executor.run()
-        return executor, run
+        meter = MccMeter(result.exec_func)
+        [run] = result.run_meters([meter], RuntimeContext(seed=1))
+        return meter, run
 
     def test_array_allocations_include_header(self):
-        executor, run = self.run_mcc(
+        meter, run = self.run_mcc(
             "a = rand(10); disp(sum(sum(a)));"
         )
         # some allocation must be header + 10*10*8 payload
         assert any(
             size >= MXARRAY_HEADER_BYTES + 800
-            for size in [executor.heap.brk]
+            for size in [meter.heap.brk]
         )
         assert run.report.mallocs >= 1
 
     def test_scalar_arithmetic_not_boxed(self):
-        executor, run = self.run_mcc("x = 1 + 2 + 3 + 4; disp(x);")
+        meter, run = self.run_mcc("x = 1 + 2 + 3 + 4; disp(x);")
         # folded scalars stay in C doubles: no boxes for the adds
         boxed = run.report.mallocs
-        executor2, run2 = self.run_mcc(
+        meter2, run2 = self.run_mcc(
             "a = rand(2); b = a + 1; disp(sum(sum(b)));"
         )
         assert run2.report.mallocs > boxed
 
     def test_named_arrays_persist_temps_die(self):
-        executor, run = self.run_mcc(
+        meter, run = self.run_mcc(
             "a = rand(8);\n"
             "for k = 1:5\n t = sum(sum(a .* a));\nend\n"
             "disp(t);"
