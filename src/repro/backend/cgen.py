@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.allocation import StorageClass
+from repro.core.opsem import scalars_read_first
 from repro.frontend.source import MatlabError
 from repro.ir.instr import (
     Branch,
@@ -768,16 +769,7 @@ class CEmitter:
         operands are read first).  Such scalars are loaded into C
         locals, in a block of their own, before the copy.
         """
-        v, base = instr.results[0], instr.args[0]
-        shared = []
-        if not self.plan.same_storage(v, base.name):
-            shared = [
-                arg
-                for arg in dict.fromkeys(instr.args[1:])
-                if isinstance(arg, Var)
-                and self.compilation.env.of(arg.name).shape.is_scalar
-                and self.plan.same_storage(v, arg.name)
-            ]
+        shared = scalars_read_first(instr, self.plan, self.compilation.env)
         if not shared:
             self._emit_subsasgn_store(instr)
             return

@@ -133,9 +133,9 @@ class CompilationResult:
         meter = Mat2CMeter(self.exec_func, self.plan)
         if not aliased:
             return self.run_meters([meter], ctx)[0]
-        slots = {n: f"@group{g}" for n, g in self.plan.group_of.items()}
         engine = Engine(
-            self.exec_func, [meter], ctx, self.options.max_steps, slots
+            self.exec_func, [meter], ctx, self.options.max_steps,
+            plan=self.plan, types=self.env,
         )
         return engine.run()[0]
 

@@ -125,6 +125,29 @@ def _provably_scalar(operand: Operand, env: TypeEnvironment | None) -> bool:
     return env.of(operand.name).is_scalar
 
 
+def scalars_read_first(instr: Instr, plan, env: TypeEnvironment) -> list[Var]:
+    """What an out-of-place ``subsasgn`` reads before its base copy.
+
+    Out of place means the result's group is not the indexed array's, so
+    the C mapping first copies the array into the result's group.  A
+    provably scalar RHS or subscript may share that group (the rules
+    below add no edge for it, on the premise that scalar operands are
+    read first), so it is loaded into a local before the copy.
+    ``backend.cgen`` emits that order and the aliased VM run executes
+    it; this is the one predicate both use.
+    """
+    result, base = instr.results[0], instr.args[0]
+    if not isinstance(base, Var) or plan.same_storage(result, base.name):
+        return []
+    return [
+        arg
+        for arg in dict.fromkeys(instr.args[1:])
+        if isinstance(arg, Var)
+        and env.of(arg.name).shape.is_scalar
+        and plan.same_storage(result, arg.name)
+    ]
+
+
 def _provably_vector(operand: Operand, env: TypeEnvironment | None) -> bool:
     if _provably_scalar(operand, env):
         return True

@@ -65,7 +65,19 @@ class MccMeter:
             ),
         )
         self._box_of: dict[str, _Box] = {}
-        self._liveness = compute_liveness(func)
+        # per block, the compiler temporaries ("$" names) not live out
+        live_out = compute_liveness(func).live_out
+        temps = {
+            name
+            for block in func.blocks.values()
+            for instr in block.instrs
+            for name in instr.results
+            if "$" in name
+        }
+        self._dead_temps = {
+            block_id: frozenset(temps - live_out.get(block_id, set()))
+            for block_id in func.blocks
+        }
 
     # ------------------------------------------------------------------
 
@@ -103,63 +115,79 @@ class MccMeter:
             self.heap.free(box.addr)
             self.clock += COSTS.mxarray_free + COSTS.free_call
 
-    @staticmethod
-    def _scalar_foldable(instr: Instr, args, results) -> bool:
-        """mcc folds all-scalar arithmetic to native doubles at compile
-        time (paper §4.4: only scalars that *don't* get folded are
-        boxed) — this is why adpt's speedup is marginal in Figure 5."""
-        if instr.is_call or instr.op in ("subsref", "subsasgn", "display"):
-            return False
-        if any(isinstance(a, MArray) and not a.is_scalar for a in args):
-            return False
-        return all(r.is_scalar for r in results)
-
     def branch(self) -> None:
         self.clock += COSTS.branch
 
-    def define(
-        self, name: str, value: MArray, instr: Instr, args: list
-    ) -> None:
-        if name in self._box_of:
-            self._release(name)  # reassignment frees the old value
-        if self._scalar_foldable(instr, args, [value]):
-            return  # lives in a C double, not an mxArray
-        if instr.op == "copy" and isinstance(instr.args[0], Var):
-            # copy-on-write: share the source's box
-            src_box = self._box_of.get(instr.args[0].name)
-            if src_box is not None:
-                src_box.refs += 1
-                self._box_of[name] = src_box
-                self.clock += COSTS.cow_share
-                return
-        self._allocate_box(name, value)
+    def decode(self, instr: Instr):
+        """The function that prices one execution of ``instr``.
 
-    def account(self, instr, args, results, work: float) -> None:
-        operands = len(instr.args)
-        if self._scalar_foldable(instr, args, results):
-            self.clock += COSTS.element_op * work
-        elif instr.op == "copy":
-            self.clock += COSTS.cow_share
-        elif instr.op == "const":
+        mcc folds all-scalar arithmetic to native doubles at compile
+        time (paper §4.4: only scalars that *don't* get folded are
+        boxed) — this is why adpt's speedup is marginal in Figure 5.
+        Whether an op can fold at all is decided here, once; whether
+        this execution's operands and results are scalars, per run.
+        """
+        op = instr.op
+        foldable_op = not (
+            instr.is_call or op in ("subsref", "subsasgn", "display")
+        )
+        shared = (
+            instr.args[0].name
+            if op == "copy" and isinstance(instr.args[0], Var)
+            else None
+        )
+        if op == "copy":
+            fixed = COSTS.cow_share
+        elif op == "const":
             # mcc boxes run-time scalars as 1×1 mxArrays (paper §4.4);
-            # creation cost is charged in define()
-            self.clock += COSTS.type_check
+            # creation cost is charged at definition
+            fixed = COSTS.type_check
         else:
-            self.clock += (
-                COSTS.library_call
-                + COSTS.type_check * max(1, operands)
-                + COSTS.element_op * work
+            fixed = None
+        overhead = COSTS.library_call + COSTS.type_check * max(
+            1, len(instr.args)
+        )
+        names = instr.results
+        box_of, release, allocate, sample = (
+            self._box_of, self._release, self._allocate_box,
+            self.memory.sample,
+        )
+
+        def price(args, results, work):
+            scalar_args = foldable_op and all(
+                a.data.size == 1 for a in args
             )
-        self.memory.sample(self.clock)
+            for name, value in zip(names, results):
+                if name in box_of:
+                    release(name)  # reassignment frees the old value
+                if scalar_args and value.data.size == 1:
+                    continue  # lives in a C double, not an mxArray
+                if shared is not None:
+                    # copy-on-write: share the source's box
+                    src_box = box_of.get(shared)
+                    if src_box is not None:
+                        src_box.refs += 1
+                        box_of[name] = src_box
+                        self.clock += COSTS.cow_share
+                        continue
+                allocate(name, value)
+            if scalar_args and all(r.data.size == 1 for r in results):
+                self.clock += COSTS.element_op * work
+            elif fixed is not None:
+                self.clock += fixed
+            else:
+                self.clock += overhead + COSTS.element_op * work
+            sample(self.clock)
+
+        return price
 
     def block_end(self, block_id: int) -> None:
         # mxArrays created within library calls are deallocated right
         # after their last use (§4.4) — compiler temporaries, in our
         # IR.  *Named* user variables persist until reassigned.
-        live_out = self._liveness.live_out.get(block_id, set())
-        for name in list(self._box_of):
-            if name not in live_out and "$" in name:
-                self._release(name)
+        dead = self._dead_temps[block_id]
+        for name in [n for n in self._box_of if n in dead]:
+            self._release(name)
         self.memory.sample(self.clock)
 
     def report(self) -> MemoryReport:

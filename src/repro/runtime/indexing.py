@@ -11,6 +11,8 @@ in the paper's translator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.runtime.errors import IndexError_, MatlabRuntimeError
@@ -19,11 +21,44 @@ from repro.runtime.marray import MArray
 COLON = ":"
 
 
+def _scalar_index(sub) -> int | None:
+    """A 1×1 numeric subscript as a 0-based index; None for ``:``, a
+    logical or a non-scalar subscript (no range check here)."""
+    if sub is COLON or sub.is_logical or sub.data.size != 1:
+        return None
+    value = sub.data.item().real
+    if value < 1 or value % 1 != 0:
+        raise IndexError_(
+            "subscripts must be positive integers or logicals"
+        )
+    return int(value) - 1
+
+
+def _scalar_point(subs: list, extents=None) -> tuple[int, ...] | None:
+    """Every subscript as a 0-based index when all are scalars, else
+    None.  With ``extents`` each index is range-checked in turn."""
+    point = []
+    for k, sub in enumerate(subs):
+        i = _scalar_index(sub)
+        if i is None:
+            return None
+        if extents is not None and i >= extents[k]:
+            raise IndexError_(
+                f"index {i + 1} exceeds extent {extents[k]} in "
+                f"dimension {k + 1}"
+            )
+        point.append(i)
+    return tuple(point)
+
+
 def _index_vector(sub, extent: int) -> np.ndarray:
     """A subscript as 0-based indices (no range check here)."""
     if sub is COLON:
         return np.arange(extent)
     assert isinstance(sub, MArray)
+    i = _scalar_index(sub)
+    if i is not None:
+        return np.array([i])
     if sub.is_logical:
         flat = sub.flat()
         return np.nonzero(flat != 0)[0]
@@ -33,6 +68,12 @@ def _index_vector(sub, extent: int) -> np.ndarray:
             "subscripts must be positive integers or logicals"
         )
     return values.astype(int) - 1
+
+
+def _element(data: np.ndarray, offset: int, rank: int) -> np.ndarray:
+    """The element at column-major ``offset`` as a (1,)*rank array."""
+    # data.T in row-major order is data in column-major order
+    return np.array(data.T.item(offset), ndmin=rank)
 
 
 def subsref(a: MArray, subs: list) -> MArray:
@@ -45,6 +86,16 @@ def subsref(a: MArray, subs: list) -> MArray:
 
 
 def _subsref_linear(a: MArray, sub) -> MArray:
+    i = _scalar_index(sub)
+    if i is not None:
+        if i >= a.numel:
+            raise IndexError_(f"index {i + 1} exceeds array numel {a.numel}")
+        # one element: 1×1 from a vector, else the subscript's shape
+        rank = 2 if a.is_vector and not a.is_scalar else sub.data.ndim
+        return MArray.from_numpy(
+            _element(a.data, i, rank),
+            is_logical=a.is_logical, is_char=a.is_char,
+        )
     flat = a.flat()
     idx = _index_vector(sub, a.numel)
     if idx.size and idx.max() >= a.numel:
@@ -74,6 +125,15 @@ def _subsref_nd(a: MArray, subs: list) -> MArray:
     data = a.data
     m = len(subs)
     shape = _padded_shape(data.shape, m)
+    point = _scalar_point(subs, shape)
+    if point is not None:
+        offset = 0
+        for i, extent in zip(reversed(point), reversed(shape)):
+            offset = offset * extent + i
+        return MArray.from_numpy(
+            _element(data, offset, m),
+            is_logical=a.is_logical, is_char=a.is_char,
+        )
     data = data.reshape(shape, order="F")
     index_vectors = []
     for k, sub in enumerate(subs):
@@ -162,13 +222,21 @@ def _subsasgn_linear(a: MArray, rhs: MArray, sub) -> MArray:
 def _subsasgn_nd(a: MArray, rhs: MArray, subs: list) -> MArray:
     m = len(subs)
     old_shape = _padded_shape(a.shape, m)
-    index_vectors = []
-    new_shape = list(old_shape)
-    for k, sub in enumerate(subs):
-        iv = _index_vector(sub, old_shape[k])
-        index_vectors.append(iv)
-        if iv.size:
-            new_shape[k] = max(new_shape[k], int(iv.max()) + 1)
+    point = _scalar_point(subs)
+    if point is not None:
+        # every subscript a scalar: store one element, no np.ix_
+        new_shape = [max(e, i + 1) for e, i in zip(old_shape, point)]
+        target, expected = point, (1,) * m
+    else:
+        index_vectors = []
+        new_shape = list(old_shape)
+        for k, sub in enumerate(subs):
+            iv = _index_vector(sub, old_shape[k])
+            index_vectors.append(iv)
+            if iv.size:
+                new_shape[k] = max(new_shape[k], int(iv.max()) + 1)
+        target = np.ix_(*index_vectors)
+        expected = tuple(iv.size for iv in index_vectors)
     dtype = complex if (a.is_complex or rhs.is_complex) else float
     if tuple(new_shape) != old_shape or dtype != a.data.dtype:
         expanded = np.zeros(tuple(new_shape), dtype=dtype, order="F")
@@ -179,19 +247,15 @@ def _subsasgn_nd(a: MArray, rhs: MArray, subs: list) -> MArray:
         data = expanded
     else:
         data = a.data.reshape(old_shape, order="F").copy(order="F")
-    count = int(np.prod([iv.size for iv in index_vectors]))
     if rhs.is_scalar:
-        data[np.ix_(*index_vectors)] = (
+        data[target] = (
             rhs.scalar() if rhs.is_complex else rhs.scalar_real()
         )
     else:
-        expected = tuple(iv.size for iv in index_vectors)
-        if rhs.numel != count:
+        if rhs.numel != math.prod(expected):
             raise MatlabRuntimeError(
                 "subscripted assignment dimension mismatch "
                 f"(need {expected}, rhs has {rhs.numel} elements)"
             )
-        data[np.ix_(*index_vectors)] = rhs.flat().reshape(
-            expected, order="F"
-        )
+        data[target] = rhs.flat().reshape(expected, order="F")
     return MArray.from_numpy(data, **_result_flags(a, rhs))

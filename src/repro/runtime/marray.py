@@ -16,6 +16,9 @@ import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError
 
+#: the dtype of REAL data; numpy keeps one instance per builtin dtype
+REAL = np.dtype(np.float64)
+
 
 @dataclass(frozen=True, slots=True)
 class MArray:
@@ -28,18 +31,22 @@ class MArray:
     @staticmethod
     def from_scalar(value: complex | float | int | bool) -> "MArray":
         if isinstance(value, bool):
-            return MArray(
-                np.asfortranarray(np.full((1, 1), float(value))),
-                is_logical=True,
-            )
+            return MArray(np.array(float(value), ndmin=2), is_logical=True)
         value = complex(value)
         if value.imag == 0:
-            return MArray(np.asfortranarray(np.full((1, 1), value.real)))
-        return MArray(np.asfortranarray(np.full((1, 1), value)))
+            return MArray(np.array(value.real, ndmin=2))
+        return MArray(np.array(value, ndmin=2))
 
     @staticmethod
     def from_numpy(array: np.ndarray, is_logical: bool = False,
                    is_char: bool = False) -> "MArray":
+        if (
+            array.__class__ is np.ndarray
+            and array.dtype is REAL
+            and array.ndim >= 2
+            and array.flags.f_contiguous
+        ):
+            return MArray(array, is_logical, is_char)  # already canonical
         array = np.atleast_2d(np.asarray(array))
         if array.dtype == bool:
             array = array.astype(float)
@@ -106,6 +113,8 @@ class MArray:
 
     def is_true(self) -> bool:
         """MATLAB truthiness: nonempty and all elements nonzero."""
+        if self.data.size == 1:
+            return self.data.item() != 0
         if self.is_empty:
             return False
         return bool(np.all(self.data != 0))

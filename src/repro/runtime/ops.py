@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError, ShapeConformanceError
-from repro.runtime.marray import MArray
+from repro.runtime.marray import REAL, MArray
 
 
 def _conform(a: MArray, b: MArray, op: str) -> None:
@@ -28,7 +28,40 @@ def _wrap(result: np.ndarray, logical: bool = False) -> MArray:
     return MArray.from_numpy(result, is_logical=logical)
 
 
-def _elementwise(a: MArray, b: MArray, fn, op: str) -> MArray:
+def _scalar_pair(a: MArray, b: MArray):
+    """``(x, y, ndim)`` when both operands are 1×1 REAL: their values
+    as Python floats and the rank of the result, else None."""
+    x, y = a.data, b.data
+    if x.size == 1 and y.size == 1 and x.dtype is REAL and y.dtype is REAL:
+        return x.item(), y.item(), max(x.ndim, y.ndim)
+    return None
+
+
+def _elementwise(a: MArray, b: MArray, fn, op: str, floats: bool = True,
+                 quiet: bool = False) -> MArray:
+    """``fn`` elementwise; a scalar operand broadcasts.
+
+    Two 1×1 REAL operands take the local-array-folding fast path:
+    ``fn`` runs on Python floats, whose ``+ - * /`` and comparisons are
+    the same IEEE operations numpy performs.  ``floats=False`` keeps an
+    op on numpy (powers), and so does a division by zero, which Python
+    raises where numpy gives inf or nan.  ``quiet`` silences numpy's
+    divide and invalid warnings.
+    """
+    pair = _scalar_pair(a, b) if floats else None
+    if pair is not None:
+        x, y, ndim = pair
+        try:
+            return MArray(np.array(fn(x, y), ndmin=ndim))
+        except ZeroDivisionError:
+            pass
+    if quiet:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _broadcast(a, b, fn, op)
+    return _broadcast(a, b, fn, op)
+
+
+def _broadcast(a: MArray, b: MArray, fn, op: str) -> MArray:
     _conform(a, b, op)
     if a.is_scalar and not b.is_scalar:
         return _wrap(fn(a.scalar() if a.is_complex else a.scalar_real(),
@@ -52,13 +85,11 @@ def elmul(a: MArray, b: MArray) -> MArray:
 
 
 def eldiv(a: MArray, b: MArray) -> MArray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _elementwise(a, b, lambda x, y: x / y, "./")
+    return _elementwise(a, b, lambda x, y: x / y, "./", quiet=True)
 
 
 def elldiv(a: MArray, b: MArray) -> MArray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _elementwise(a, b, lambda x, y: y / x, ".\\")
+    return _elementwise(a, b, lambda x, y: y / x, ".\\", quiet=True)
 
 
 def elpow(a: MArray, b: MArray) -> MArray:
@@ -66,7 +97,7 @@ def elpow(a: MArray, b: MArray) -> MArray:
         result = np.power(x.astype(complex) if _needs_complex(x, y) else x, y)
         return result
 
-    return _elementwise(a, b, fn, ".^")
+    return _elementwise(a, b, fn, ".^", floats=False)
 
 
 def _needs_complex(x, y) -> bool:
@@ -132,6 +163,10 @@ def transpose(a: MArray, conjugate: bool) -> MArray:
 
 
 def _compare(a: MArray, b: MArray, fn, op: str) -> MArray:
+    pair = _scalar_pair(a, b)
+    if pair is not None:
+        x, y, ndim = pair
+        return _logical_scalar(fn(x, y), ndim)
     _conform(a, b, op)
     x = a.data.real if a.is_complex else a.data
     y = b.data.real if b.is_complex else b.data
@@ -140,6 +175,10 @@ def _compare(a: MArray, b: MArray, fn, op: str) -> MArray:
     if b.is_scalar and not a.is_scalar:
         y = y.flat[0]
     return _wrap(fn(x, y), logical=True)
+
+
+def _logical_scalar(value: bool, ndim: int) -> MArray:
+    return MArray(np.array(float(value), ndmin=ndim), is_logical=True)
 
 
 def lt(a, b):
@@ -159,9 +198,10 @@ def ge(a, b):
 
 
 def eq(a, b):
-    def fn(x, y):
-        return x == y
-
+    pair = _scalar_pair(a, b)
+    if pair is not None:
+        x, y, ndim = pair
+        return _logical_scalar(x == y, ndim)
     _conform(a, b, "==")
     if a.is_scalar and not b.is_scalar:
         return _wrap(b.data == a.scalar(), logical=True)
@@ -171,6 +211,10 @@ def eq(a, b):
 
 
 def ne(a, b):
+    pair = _scalar_pair(a, b)
+    if pair is not None:
+        x, y, ndim = pair
+        return _logical_scalar(x != y, ndim)
     _conform(a, b, "~=")
     if a.is_scalar and not b.is_scalar:
         return _wrap(b.data != a.scalar(), logical=True)

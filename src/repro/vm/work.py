@@ -43,8 +43,52 @@ _SLOWISH_COST = 25.0
 
 def computation_work(instr: Instr, args: list, results: list[MArray]) -> float:
     """Approximate scalar-operation count for the instruction."""
+    return work_function(instr)(args, results)
+
+
+def work_function(instr: Instr):
+    """:func:`computation_work` for ``instr`` as a function of
+    ``(args, results)``: the choice by op and callee is made once, so
+    an engine that decodes its IR calls this once per instruction."""
     op = instr.op
-    if op == "mul" and len(args) == 2:
+    if op == "mul":
+        return _matmul_work
+    if op in ("div", "ldiv"):
+        return _solve_work
+    if op == "subsasgn":
+        return _store_work
+    if instr.is_call:
+        callee = instr.callee
+        if callee in _CHEAP_CALLS:
+            return _unit_work
+        if callee in _TRANSCENDENTALS:
+            per_element = _TRANSCENDENTAL_COST
+        elif callee in _SLOWISH_CALLS:
+            per_element = _SLOWISH_COST
+        else:
+            per_element = None
+        return lambda args, results: _call_work(args, results, per_element)
+    if op in ("elpow", "pow"):
+        return _power_work
+    return _plain_work
+
+
+def _unit_work(args, results) -> float:
+    return 1.0
+
+
+def _plain_work(args, results) -> float:
+    if len(results) == 1:
+        return float(results[0].data.size)
+    if results:
+        return float(max(r.numel for r in results))
+    if args and isinstance(args[0], MArray):
+        return float(args[0].numel)
+    return 1.0
+
+
+def _matmul_work(args, results) -> float:
+    if len(args) == 2:
         a, b = args[0], args[1]
         if isinstance(a, MArray) and isinstance(b, MArray):
             if not a.is_scalar and not b.is_scalar:
@@ -52,37 +96,41 @@ def computation_work(instr: Instr, args: list, results: list[MArray]) -> float:
                 return float(
                     a.shape[0] * a.shape[1] * b.shape[1]
                 )
-    if op in ("div", "ldiv") and len(args) == 2:
+    return _plain_work(args, results)
+
+
+def _solve_work(args, results) -> float:
+    if len(args) == 2:
         a, b = args[0], args[1]
         if isinstance(a, MArray) and isinstance(b, MArray):
             if not a.is_scalar and not b.is_scalar:
                 n = max(a.shape[0], a.shape[1])
                 return float(n**3) / 3.0  # LU-style solve
-    if op == "subsasgn":
-        rhs = args[1] if len(args) > 1 else None
-        moved = rhs.numel if isinstance(rhs, MArray) else 1
-        if results and results[0].numel > args[0].numel:
-            moved += results[0].numel  # expansion copies the old array
-        return float(moved)
-    if instr.is_call and instr.callee in _CHEAP_CALLS:
-        return 1.0
-    if instr.is_call and args:
-        input_elems = max(
-            (a.numel for a in args if isinstance(a, MArray)), default=1
-        )
-        output_elems = max((r.numel for r in results), default=1)
-        elems = float(max(input_elems, output_elems))
-        if instr.callee in _TRANSCENDENTALS:
-            return elems * _TRANSCENDENTAL_COST
-        if instr.callee in _SLOWISH_CALLS:
-            return elems * _SLOWISH_COST
+    return _plain_work(args, results)
+
+
+def _store_work(args, results) -> float:
+    rhs = args[1] if len(args) > 1 else None
+    moved = rhs.numel if isinstance(rhs, MArray) else 1
+    if results and results[0].numel > args[0].numel:
+        moved += results[0].numel  # expansion copies the old array
+    return float(moved)
+
+
+def _call_work(args, results, per_element: float | None) -> float:
+    if not args:
+        return _plain_work(args, results)
+    input_elems = max(
+        (a.numel for a in args if isinstance(a, MArray)), default=1
+    )
+    output_elems = max((r.numel for r in results), default=1)
+    elems = float(max(input_elems, output_elems))
+    if per_element is None:
         return elems
-    if instr.op in ("elpow", "pow"):
-        return float(
-            max((r.numel for r in results), default=1)
-        ) * _TRANSCENDENTAL_COST
-    if results:
-        return float(max(r.numel for r in results))
-    if args and isinstance(args[0], MArray):
-        return float(args[0].numel)
-    return 1.0
+    return elems * per_element
+
+
+def _power_work(args, results) -> float:
+    return float(
+        max((r.numel for r in results), default=1)
+    ) * _TRANSCENDENTAL_COST
