@@ -13,7 +13,10 @@ import pytest
 
 from repro.bench.suite import BENCHMARK_NAMES, compile_benchmark
 from repro.compiler.pipeline import compile_source
+from repro.core.opsem import scalars_read_first
+from repro.frontend.source import MatlabError
 from repro.runtime.builtins import RuntimeContext
+from repro.vm import base as vm_base
 
 
 def check(text, **sources):
@@ -86,3 +89,48 @@ def test_benchmark_suite_aliased(name):
     assert plain.output == aliased.output, (
         f"{name}: aliased execution diverged — unsound coalescing"
     )
+
+
+# An out-of-place indexed store (result group ≠ base group) copies the
+# base into the result's group first, as the generated C does.  A
+# provably scalar RHS sharing that group is only safe because it is
+# read before the copy; the aliased run must follow that order, so that
+# losing the pre-load shows up without a C compiler.
+HAZARD = """\
+a = [1, 2, 3; 4, 5, 6; 7, 9, 8];
+b = [2, 0, 1; 1, 3, 0; 0, 1, 4];
+c = a - b;
+s = 0.75;
+u = 2.5;
+u = a(1, 1) + 1;
+a(1, 1) = u;
+u = s * 2 + 0;
+fprintf('%.6f\\n', sum(sum(a)) + sum(sum(b)));
+fprintf('%.6f\\n', sum(sum(c)) + s + u);
+"""
+
+
+def _aliased_output(result):
+    try:
+        return result.run_mat2c(RuntimeContext(seed=9), aliased=True).output
+    except MatlabError as exc:
+        return f"error: {exc}"
+
+
+def test_aliased_store_reads_shared_scalars_before_the_base_copy():
+    result = compile_source(HAZARD)
+    store = next(
+        i for b in result.exec_func.blocks.values() for i in b.instrs
+        if i.op == "subsasgn"
+    )
+    # the falsifying plan: u shares the store's group, a's base does not
+    assert scalars_read_first(store, result.plan, result.env)
+    oracle = result.run_interpreter(RuntimeContext(seed=9)).output
+    assert _aliased_output(result) == oracle
+
+
+def test_aliased_run_without_the_scalar_preload_differs(monkeypatch):
+    result = compile_source(HAZARD)
+    oracle = result.run_interpreter(RuntimeContext(seed=9)).output
+    monkeypatch.setattr(vm_base, "scalars_read_first", lambda *args: [])
+    assert _aliased_output(result) != oracle
