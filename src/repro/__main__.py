@@ -78,25 +78,34 @@ def _options(args) -> CompilerOptions:
     )
 
 
-def _cache_from(args):
-    from repro.service.cache import ArtifactCache
-
-    if getattr(args, "no_cache", False):
-        return None
-    if getattr(args, "cache", False) or getattr(args, "cache_dir", None):
-        return ArtifactCache(args.cache_dir or ".repro-cache")
-    return None
-
-
 def _fail(message: str) -> int:
     print(f"repro: error: {message}", file=sys.stderr)
     return 1
 
 
+def _print_stats(entry: str, stats) -> None:
+    """The summary ``compile`` and ``client compile`` both open with."""
+    print(f"entry function        : {entry}")
+    print(f"variables at GCTD     : {stats.variables}")
+    print(
+        f"subsumed (s/d)        : "
+        f"{stats.static_subsumed}/{stats.dynamic_subsumed}"
+    )
+    print(f"storage reduction     : {stats.storage_reduction_kb:.2f} KB")
+    print(f"colors / groups       : {stats.colors} / {stats.groups}")
+    print(f"stack frame           : {stats.stack_frame_bytes} B")
+
+
 def cmd_compile(args) -> int:
+    from repro.api import CompileStats
+    from repro.service.cache import ArtifactCache, DEFAULT_CACHE_ROOT
     from repro.service.telemetry import Tracer
 
-    cache = _cache_from(args)
+    cache = (
+        ArtifactCache(args.cache_dir or DEFAULT_CACHE_ROOT)
+        if args.cache or args.cache_dir
+        else None
+    )
     tracer = Tracer(label="compile") if (args.trace or cache) else None
     try:
         result = compile_program(
@@ -110,16 +119,7 @@ def cmd_compile(args) -> int:
         return _fail(str(exc))
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-    stats = result.report
-    print(f"entry function        : {result.program.entry}")
-    print(f"variables at GCTD     : {stats.original_variable_count}")
-    print(
-        f"subsumed (s/d)        : "
-        f"{stats.static_subsumed}/{stats.dynamic_subsumed}"
-    )
-    print(f"storage reduction     : {stats.storage_reduction_kb:.2f} KB")
-    print(f"colors / groups       : {stats.color_count} / {stats.group_count}")
-    print(f"stack frame           : {result.plan.stack_frame_bytes()} B")
+    _print_stats(result.program.entry, CompileStats.from_result(result))
     if args.verbose:
         print()
         for group in result.plan.groups:
@@ -424,20 +424,20 @@ def cmd_serve(args) -> int:
     """Run the long-lived compile server (see :mod:`repro.server`)."""
     from repro.server import ServerConfig, serve
 
+    settings = {
+        "host": args.host,
+        "port": args.port,
+        "workers": args.workers,
+        "queue_limit": args.queue_limit,
+        "default_deadline": args.deadline,
+        "cache_root": "" if args.no_cache else args.cache_dir,
+        "drain_seconds": args.drain_seconds,
+        "gctd_deadline_seconds": args.gctd_deadline,
+    }
+    # flags left unset keep ServerConfig's defaults
     config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        default_deadline=args.deadline,
-        cache_root="" if args.no_cache else (
-            args.cache_dir or ".repro-cache"
-        ),
-        drain_seconds=args.drain_seconds,
-        degrade=not args.no_degrade,
-        gctd_deadline_seconds=args.gctd_deadline,
+        **{key: value for key, value in settings.items() if value is not None}
     )
-    if args.workers is not None:
-        config.workers = args.workers
     if args.fault_plan:
         from repro.faults import (
             ENABLE_FAULTS_ENV,
@@ -468,6 +468,7 @@ def cmd_client(args) -> int:
     """Talk to a running server over HTTP (stdlib urllib only)."""
     import urllib.error
 
+    from repro.api import CompileRequest, CompileResponse
     from repro.server.client import (
         TRANSPORT_ERRORS,
         RetryPolicy,
@@ -490,16 +491,15 @@ def cmd_client(args) -> int:
             sys.stdout.write(client.metrics_text())
             return 0
         # action == "compile"
-        options = {}
-        if getattr(args, "no_gctd", False):
-            options["gctd"] = False
         response = client.compile(
-            _load(args.files),
-            entry=args.entry,
-            options=options or None,
-            deadline_seconds=args.deadline,
-            emit_c=args.emit_c,
-            verify_plan=args.verify_plan,
+            CompileRequest(
+                _load(args.files),
+                entry=args.entry,
+                options=_options(args),
+                emit_c=args.emit_c,
+                verify_plan=args.verify_plan,
+                deadline_seconds=args.deadline,
+            )
         )
     except urllib.error.URLError as exc:
         return _fail(f"cannot reach server at {args.url}: {exc.reason}")
@@ -509,27 +509,13 @@ def cmd_client(args) -> int:
         # the server answers non-2xx with a {code, message, detail}
         # envelope; render it as one line and exit nonzero
         return _fail(response.envelope().summary())
-    payload = response.payload
-    stats = payload["stats"]
-    print(f"entry function        : {payload['entry']}")
-    print(f"variables at GCTD     : {stats['variables']}")
-    print(
-        f"subsumed (s/d)        : "
-        f"{stats['static_subsumed']}/{stats['dynamic_subsumed']}"
-    )
-    print(
-        f"storage reduction     : {stats['storage_reduction_kb']:.2f} KB"
-    )
-    print(
-        f"colors / groups       : "
-        f"{stats['colors']} / {stats['groups']}"
-    )
-    print(f"stack frame           : {stats['stack_frame_bytes']} B")
-    print(f"fingerprint           : {payload['fingerprint'][:16]}…")
-    print(f"cache_hit             : {payload['cache_hit']}")
-    if payload.get("degraded"):
+    reply = CompileResponse.from_wire(response.payload)
+    _print_stats(reply.entry, reply.stats)
+    print(f"fingerprint           : {reply.fingerprint[:16]}…")
+    print(f"cache_hit             : {reply.cache_hit}")
+    if reply.degraded:
         print("degraded              : True (mcc all-heap fallback plan)")
-    verification = payload.get("verification")
+    verification = reply.verification
     if verification is not None:
         verdict = "sound" if verification["ok"] else "UNSOUND"
         print(
@@ -537,7 +523,7 @@ def cmd_client(args) -> int:
             f"({len(verification['violations'])} violations)"
         )
     if args.emit_c:
-        sys.stdout.write(payload["c_source"])
+        sys.stdout.write(reply.c_source)
     if verification is not None and not verification["ok"]:
         return 1
     return 0
@@ -562,6 +548,7 @@ def cmd_chaos(args) -> int:
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    from repro.api import CompileRequest
     from repro.bench.suite import BENCHMARK_NAMES, load_sources
     from repro.server.client import (
         TRANSPORT_ERRORS,
@@ -582,9 +569,11 @@ def cmd_chaos(args) -> int:
         client = ServerClient(args.url, timeout=args.timeout, retry=policy)
         try:
             response = client.compile(
-                sources_by_name[name],
-                verify_plan=True,
-                name=f"chaos-{index}-{name}",
+                CompileRequest(
+                    sources_by_name[name],
+                    name=f"chaos-{index}-{name}",
+                    verify_plan=True,
+                )
             )
         except TRANSPORT_ERRORS as exc:
             return ("transport", f"request {index} ({name}): {exc}")
@@ -683,6 +672,8 @@ def cmd_stats(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.service.cache import DEFAULT_CACHE_ROOT
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -709,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
         help="use the content-addressed artifact cache",
     )
     p_compile.add_argument(
-        "--cache-dir", help="cache root (default .repro-cache)"
+        "--cache-dir", help=f"cache root (default {DEFAULT_CACHE_ROOT})"
     )
     p_compile.add_argument(
         "--trace",
@@ -795,7 +786,7 @@ def main(argv: list[str] | None = None) -> int:
         help="bypass the artifact cache",
     )
     p_bench.add_argument(
-        "--cache-dir", help="cache root (default .repro-cache)"
+        "--cache-dir", help=f"cache root (default {DEFAULT_CACHE_ROOT})"
     )
     p_bench.add_argument(
         "--output-dir",
@@ -806,35 +797,31 @@ def main(argv: list[str] | None = None) -> int:
     p_serve = sub.add_parser(
         "serve", help="run the long-lived compile server"
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8765)
+    p_serve.add_argument("--host")
+    p_serve.add_argument("--port", type=int)
     p_serve.add_argument(
         "--workers",
         type=int,
-        default=None,
         help="worker threads (default: min(4, cpu count))",
     )
     p_serve.add_argument(
         "--queue-limit",
         type=int,
-        default=64,
         help="admission queue bound; beyond it requests get 429",
     )
     p_serve.add_argument(
         "--deadline",
         type=float,
-        default=60.0,
         help="default per-request deadline in seconds",
     )
     p_serve.add_argument(
         "--drain-seconds",
         type=float,
-        default=10.0,
         help="graceful-shutdown drain budget",
     )
     p_serve.add_argument("--no-cache", action="store_true")
     p_serve.add_argument(
-        "--cache-dir", help="cache root (default .repro-cache)"
+        "--cache-dir", help=f"cache root (default {DEFAULT_CACHE_ROOT})"
     )
     p_serve.add_argument(
         "--fault-plan",
@@ -845,15 +832,8 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     p_serve.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="error instead of falling back to the mcc plan on "
-        "GCTD failure",
-    )
-    p_serve.add_argument(
         "--gctd-deadline",
         type=float,
-        default=0.0,
         help="wall-clock budget for the GCTD pass before degrading "
         "(seconds; 0 = unlimited)",
     )
@@ -944,7 +924,7 @@ def main(argv: list[str] | None = None) -> int:
         help="telemetry/BENCH json (default: newest available)",
     )
     p_stats.add_argument(
-        "--cache-dir", help="cache root (default .repro-cache)"
+        "--cache-dir", help=f"cache root (default {DEFAULT_CACHE_ROOT})"
     )
     p_stats.set_defaults(fn=cmd_stats)
 

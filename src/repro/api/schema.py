@@ -27,8 +27,9 @@ from repro.api.types import (
     WIRE_OPTION_KEYS,
 )
 
-#: bump when the wire format changes incompatibly (never so far).
-SCHEMA_VERSION = 1
+#: bump when the wire format changes incompatibly (2: the no-op
+#: ``BatchRequest.jobs`` was removed; old bodies carrying it still parse).
+SCHEMA_VERSION = 2
 
 _WIRE_TYPES = (
     CompileRequest,

@@ -36,6 +36,14 @@ class ApiValidationError(ValueError):
 WIRE_OPTION_KEYS = ("gctd", "cse", "constfold", "shapefold")
 
 
+def _wire_bool(payload: dict, key: str, default: bool) -> bool:
+    """A JSON boolean; anything else (``"false"``, ``0``) is a 400."""
+    value = payload.get(key, default)
+    if not isinstance(value, bool):
+        raise ApiValidationError(f"'{key}' must be true or false")
+    return value
+
+
 def options_from_wire(payload: dict | None) -> CompilerOptions:
     """Parse the `/v1` options object into :class:`CompilerOptions`."""
     payload = payload or {}
@@ -45,10 +53,10 @@ def options_from_wire(payload: dict | None) -> CompilerOptions:
     if unknown:
         raise ApiValidationError(f"unknown options: {sorted(unknown)}")
     return CompilerOptions(
-        gctd=GCTDOptions(enabled=bool(payload.get("gctd", True))),
-        enable_cse=bool(payload.get("cse", True)),
-        enable_constfold=bool(payload.get("constfold", True)),
-        enable_shapefold=bool(payload.get("shapefold", True)),
+        gctd=GCTDOptions(enabled=_wire_bool(payload, "gctd", True)),
+        enable_cse=_wire_bool(payload, "cse", True),
+        enable_constfold=_wire_bool(payload, "constfold", True),
+        enable_shapefold=_wire_bool(payload, "shapefold", True),
     )
 
 
@@ -131,8 +139,8 @@ class CompileRequest:
             entry=entry,
             options=options_from_wire(payload.get("options")),
             name=str(payload.get("name", "") or ""),
-            emit_c=bool(payload.get("emit_c")),
-            verify_plan=bool(payload.get("verify_plan")),
+            emit_c=_wire_bool(payload, "emit_c", False),
+            verify_plan=_wire_bool(payload, "verify_plan", False),
             deadline_seconds=deadline,
         )
 
@@ -141,20 +149,17 @@ class CompileRequest:
 class BatchRequest:
     """The `/v1/batch` body: an ordered list of compile requests.
 
-    ``jobs`` stays on the wire for compatibility but has no effect:
-    the server compiles a batch's items one after another.
+    The server compiles a batch's items one after another.  A legacy
+    ``"jobs"`` key is ignored like any other unknown key.
     """
 
     items: list[CompileRequest] = field(default_factory=list)
-    jobs: int | None = None
     deadline_seconds: float | None = None
 
     def to_wire(self) -> dict:
         payload: dict = {
             "requests": [item.to_wire() for item in self.items]
         }
-        if self.jobs is not None:
-            payload["jobs"] = self.jobs
         if self.deadline_seconds is not None:
             payload["deadline_seconds"] = self.deadline_seconds
         return payload
@@ -176,15 +181,8 @@ class BatchRequest:
             if not request.name:
                 request.name = f"request-{index}"
             items.append(request)
-        jobs = payload.get("jobs")
-        try:
-            int(jobs or 1)
-        except (TypeError, ValueError):
-            raise ApiValidationError("jobs must be an integer") from None
         return cls(
-            items=items,
-            jobs=jobs,
-            deadline_seconds=payload.get("deadline_seconds"),
+            items=items, deadline_seconds=payload.get("deadline_seconds")
         )
 
 

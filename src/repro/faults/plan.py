@@ -154,9 +154,6 @@ class FaultPlan:
         for rule in self.rules:
             rule.validate()
 
-    def for_site(self, site: str) -> tuple[FaultRule, ...]:
-        return tuple(r for r in self.rules if r.site == site)
-
     def to_dict(self) -> dict:
         out: dict = {
             "seed": self.seed,

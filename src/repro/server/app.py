@@ -14,7 +14,7 @@ crashes 500 (that request only — the pool respawns the worker),
 deadline expiry 504, shed load 429, drain-time arrivals 503.
 
 The pipeline is reached through one body, :meth:`CompileServer._compile`:
-``compile_program(…, tracer=, cache=, degrade=, injector=)`` plus the
+``compile_program(…, tracer=, cache=, degrade=True, injector=)`` plus the
 metrics it feeds.  ``/v1/compile`` answers one request with it;
 ``/v1/batch`` runs it once per distinct fingerprint, in request order,
 so batch items share the cache, metrics, fault injection and
@@ -32,7 +32,12 @@ import signal
 import sys
 import time
 
-from repro.server.config import ServerConfig
+from repro.server.config import (
+    MAX_BODY_BYTES,
+    MAX_DEADLINE,
+    RETRY_AFTER,
+    ServerConfig,
+)
 from repro.server.httpd import (
     HttpError,
     Request,
@@ -266,7 +271,7 @@ class CompileServer:
                 tracer=tracer,
                 cache=self.cache,
                 verify_plan=request.verify_plan,
-                degrade=self.config.degrade,
+                degrade=True,
                 gctd_deadline_seconds=(
                     self.config.gctd_deadline_seconds or None
                 ),
@@ -358,7 +363,6 @@ class CompileServer:
         )
         return {
             "executor": "serial" if compiled else "cache",
-            "jobs": 1,
             "wall_seconds": time.perf_counter() - start,
             "cache_hits": sum(item["cache_hit"] for item in items),
             "items": items,
@@ -418,9 +422,7 @@ class CompileServer:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, self.config.max_body_bytes
-                    )
+                    request = await read_request(reader, MAX_BODY_BYTES)
                 except HttpError as exc:
                     writer.write(self._error_bytes(exc, _OTHER))
                     await writer.drain()
@@ -557,7 +559,7 @@ class CompileServer:
             raise HttpError(400, "deadline_seconds must be a number")
         if seconds <= 0:
             raise HttpError(400, "deadline_seconds must be > 0")
-        return min(seconds, self.config.max_deadline)
+        return min(seconds, MAX_DEADLINE)
 
     async def _submit(self, kind: str, fn, deadline_seconds: float):
         if self._stopping or not self._ready:
@@ -575,12 +577,8 @@ class CompileServer:
             raise HttpError(
                 429,
                 "compile queue is full, retry later",
-                headers={
-                    "Retry-After": f"{self.config.retry_after:g}"
-                },
-                detail={
-                    "retry_after_seconds": self.config.retry_after
-                },
+                headers={"Retry-After": f"{RETRY_AFTER:g}"},
+                detail={"retry_after_seconds": RETRY_AFTER},
             )
         try:
             tag, value = await asyncio.wait_for(

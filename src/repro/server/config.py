@@ -11,8 +11,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.service.cache import DEFAULT_CACHE_ROOT
+
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
+#: Ceiling on any request's ``deadline_seconds``.
+MAX_DEADLINE = 600.0
+#: Largest accepted request body, in bytes (413 beyond).
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds suggested to shed clients via ``Retry-After``.
+RETRY_AFTER = 1.0
 
 
 def default_workers() -> int:
@@ -32,26 +40,19 @@ class ServerConfig:
     #: are shed with ``429 Retry-After``.
     queue_limit: int = 64
     #: Default per-request deadline (seconds); a request can lower or
-    #: raise it via ``deadline_seconds`` up to :attr:`max_deadline`.
+    #: raise it via ``deadline_seconds`` up to :data:`MAX_DEADLINE`.
     default_deadline: float = 60.0
-    max_deadline: float = 600.0
-    #: Largest accepted request body, in bytes (413 beyond).
-    max_body_bytes: int = 8 * 1024 * 1024
     #: Artifact cache root; empty string disables caching.
-    cache_root: str = ".repro-cache"
+    cache_root: str = DEFAULT_CACHE_ROOT
     #: How long graceful shutdown waits for queued + in-flight jobs.
     drain_seconds: float = 10.0
-    #: Seconds suggested to shed clients via ``Retry-After``.
-    retry_after: float = 1.0
     #: Path to a fault-plan JSON (see :mod:`repro.faults`).  Refused
     #: at server construction unless ``REPRO_ENABLE_FAULTS=1`` — chaos
     #: must be an explicit, two-key decision.
     fault_plan_path: str = ""
-    #: When True, a GCTD failure degrades a compile to the mcc
-    #: all-heap plan (marked ``degraded``) instead of erroring.
-    degrade: bool = True
-    #: Wall-clock budget for the GCTD pass before degrading
-    #: (0 = unlimited).
+    #: Wall-clock budget for the GCTD pass before the compile degrades
+    #: to the mcc all-heap plan (0 = unlimited).  A GCTD failure always
+    #: degrades (marked ``degraded``) instead of erroring.
     gctd_deadline_seconds: float = 0.0
 
     def validate(self) -> None:

@@ -6,7 +6,8 @@ Layout (default root ``.repro-cache/``)::
         plan        pickled CompilationResult (IR, env, allocation plan)
         meta.json   fingerprint, pipeline version, plan checksum
     quarantine/<fingerprint>-<n>/   corrupted entries, kept for autopsy
-    bin/<c-hash>/program    compiled binaries (see repro.backend.cc)
+    bin/<key>/program       compiled binaries, keyed by
+                            repro.backend.cc.binary_cache_key
 
 Writes are atomic: each entry is materialized in a temporary sibling
 directory and ``os.rename``\\ d into place, so concurrent writers of
@@ -53,11 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.compiler.pipeline import PIPELINE_VERSION
-from repro.service.fingerprint import (
-    canonical_options,
-    fingerprint_request,
-    fingerprint_text,
-)
+from repro.service.fingerprint import canonical_options, fingerprint_request
 
 DEFAULT_CACHE_ROOT = ".repro-cache"
 
@@ -361,11 +358,6 @@ class ArtifactCache:
         self.stats.repairs += 1
         if self.on_quarantine is not None:
             self.on_quarantine(fingerprint)
-
-    # -- binary cache keys (used by repro.backend.cc) --------------------
-
-    def binary_dir(self, c_source: str) -> Path:
-        return self.root / "bin" / fingerprint_text(c_source)
 
     # -- internals -------------------------------------------------------
 

@@ -103,8 +103,3 @@ def fingerprint_request(
         payload, sort_keys=True, separators=(",", ":")
     ).encode()
     return hashlib.sha256(encoded).hexdigest()
-
-
-def fingerprint_text(text: str) -> str:
-    """SHA-256 of a single normalized text blob (e.g. generated C)."""
-    return hashlib.sha256(normalize_source(text).encode()).hexdigest()

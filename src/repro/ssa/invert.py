@@ -118,28 +118,3 @@ def invert_ssa(func: IRFunction) -> IRFunction:
             pred.append(Instr(op="copy", results=[dst], args=[src]))
     return func
 
-
-def fold_identity_copies(
-    func: IRFunction, same_storage
-) -> int:
-    """Drop ``x = y`` copies where GCTD bound x and y to one storage.
-
-    ``same_storage(a, b)`` is a predicate (typically: same color/group
-    under the allocation plan).  Returns the number of removed copies.
-    This realizes the paper's "trivially removable identity assignment".
-    """
-    removed = 0
-    for block in func.blocks.values():
-        kept: list[Instr] = []
-        for instr in block.instrs:
-            if (
-                instr.op == "copy"
-                and len(instr.args) == 1
-                and isinstance(instr.args[0], Var)
-                and same_storage(instr.results[0], instr.args[0].name)
-            ):
-                removed += 1
-                continue
-            kept.append(instr)
-        block.instrs = kept
-    return removed

@@ -165,7 +165,7 @@ class TestGoldenFixtures:
         assert CompileRequest.from_wire(wire).to_wire() == wire
 
     def test_batch_request_matches_golden(self):
-        batch = BatchRequest(items=[self.golden_request()], jobs=2)
+        batch = BatchRequest(items=[self.golden_request()])
         assert batch.to_wire() == fixture("batch_request.json")
         rebuilt = BatchRequest.from_wire(fixture("batch_request.json"))
         assert rebuilt.to_wire() == fixture("batch_request.json")
@@ -295,12 +295,44 @@ class TestValidation:
         legacy = ErrorEnvelope.from_wire({"ok": False, "error": "kaput"})
         assert legacy.message == "kaput"
 
-    def test_batch_jobs_must_be_an_integer(self):
+    def test_batch_ignores_legacy_jobs(self):
+        # schema version 1 carried a no-op ``jobs``; old bodies still
+        # parse, to the same request as without it
         body = {"requests": [{"sources": {"a.m": "x = 1\n"}}]}
+        for jobs in (2, "many", None):
+            legacy = BatchRequest.from_wire({**body, "jobs": jobs})
+            assert legacy == BatchRequest.from_wire(body)
+            assert "jobs" not in legacy.to_wire()
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    @pytest.mark.parametrize("key", ["gctd", "cse", "constfold", "shapefold"])
+    def test_wire_options_must_be_booleans(self, key, value):
         with pytest.raises(ApiValidationError) as exc:
-            BatchRequest.from_wire({**body, "jobs": "many"})
-        assert "jobs must be an integer" in str(exc.value)
-        assert BatchRequest.from_wire({**body, "jobs": 4}).jobs == 4
+            options_from_wire({key: value})
+        assert f"'{key}' must be true or false" in str(exc.value)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, {}])
+    @pytest.mark.parametrize("key", ["emit_c", "verify_plan"])
+    def test_request_flags_must_be_booleans(self, key, value):
+        body = {"sources": {"a.m": "x = 1\n"}, key: value}
+        with pytest.raises(ApiValidationError) as exc:
+            CompileRequest.from_wire(body)
+        assert f"'{key}' must be true or false" in str(exc.value)
+        with pytest.raises(ApiValidationError):
+            BatchRequest.from_wire({"requests": [body]})
+
+    def test_boolean_flags_parse_as_sent(self):
+        request = CompileRequest.from_wire(
+            {
+                "sources": {"a.m": "x = 1\n"},
+                "options": {"gctd": False, "cse": True},
+                "emit_c": False,
+                "verify_plan": True,
+            }
+        )
+        assert not request.options.gctd.enabled
+        assert request.options.enable_cse
+        assert not request.emit_c and request.verify_plan
 
     def test_code_for_status_covers_server_statuses(self):
         for status in (400, 404, 405, 413, 422, 429, 500, 503, 504):
@@ -371,7 +403,7 @@ class TestServerErrorEnvelopes:
             threads = [
                 threading.Thread(
                     target=lambda: responses.append(
-                        client.compile({"m.m": PROGRAM})
+                        client.compile(CompileRequest({"m.m": PROGRAM}))
                     )
                 )
                 for _ in range(6)
@@ -401,7 +433,7 @@ class TestServerErrorEnvelopes:
             make_config(tmp_path), compile_impl=impl
         ) as server:
             client = ServerClient(server.url, timeout=30.0)
-            response = client.compile({"m.m": PROGRAM})
+            response = client.compile(CompileRequest({"m.m": PROGRAM}))
             assert_envelope(response, 500, "internal_error")
 
     def test_504_deadline_envelope(self, tmp_path):
@@ -414,7 +446,7 @@ class TestServerErrorEnvelopes:
         ) as server:
             client = ServerClient(server.url, timeout=30.0)
             response = client.compile(
-                {"m.m": PROGRAM}, deadline_seconds=0.2
+                CompileRequest({"m.m": PROGRAM}, deadline_seconds=0.2)
             )
             envelope = assert_envelope(
                 response, 504, "deadline_exceeded"
@@ -424,16 +456,38 @@ class TestServerErrorEnvelopes:
     def test_400_bad_options_envelope(self, tmp_path):
         with ServerThread(make_config(tmp_path)) as server:
             client = ServerClient(server.url, timeout=30.0)
-            response = client.compile(
-                {"m.m": PROGRAM}, options={"frob": 1}
+            response = client.post_json(
+                "/v1/compile",
+                {"sources": {"m.m": PROGRAM}, "options": {"frob": 1}},
             )
             envelope = assert_envelope(response, 400, "bad_request")
             assert "frob" in envelope.message
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/compile", {"options": {"gctd": "false"}}),
+            ("/v1/compile", {"options": {"cse": 0}}),
+            ("/v1/compile", {"emit_c": "false"}),
+            ("/v1/compile", {"verify_plan": 1}),
+            ("/v1/batch", {"options": {"shapefold": "no"}}),
+        ],
+    )
+    def test_400_non_boolean_flag_envelope(self, tmp_path, path, body):
+        # bool("false") is True: a string must not switch a flag on
+        compile_body = {"sources": {"m.m": PROGRAM}, **body}
+        if path == "/v1/batch":
+            compile_body = {"requests": [compile_body]}
+        with ServerThread(make_config(tmp_path)) as server:
+            client = ServerClient(server.url, timeout=30.0)
+            response = client.post_json(path, compile_body)
+            envelope = assert_envelope(response, 400, "bad_request")
+            assert "must be true or false" in envelope.message
+
     def test_422_compile_error_envelope(self, tmp_path):
         with ServerThread(make_config(tmp_path)) as server:
             client = ServerClient(server.url, timeout=30.0)
-            response = client.compile({"m.m": "x = (((\n"})
+            response = client.compile(CompileRequest({"m.m": "x = (((\n"}))
             assert_envelope(response, 422, "compile_error")
 
 

@@ -26,7 +26,7 @@ def golden() -> dict:
 class TestGoldenSchema:
     def test_golden_file_exists_and_parses(self):
         doc = golden()
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert "/v1/compile" in doc["endpoints"]
 
     def test_schema_matches_golden_exactly(self):

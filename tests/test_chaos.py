@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import ErrorEnvelope
+from repro.api import CompileRequest, ErrorEnvelope
 from repro.faults import ALL_SITES, FaultInjector, chaos_plan
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.server.client import TRANSPORT_ERRORS, RetryPolicy
@@ -101,9 +101,11 @@ class TestChaos:
                 program = PROGRAMS[index % len(PROGRAMS)]
                 try:
                     response = client.compile(
-                        {"main.m": program},
-                        verify_plan=True,
-                        name=f"chaos-{index}",
+                        CompileRequest(
+                            {"main.m": program},
+                            name=f"chaos-{index}",
+                            verify_plan=True,
+                        )
                     )
                 except TRANSPORT_ERRORS:
                     return  # retry budget lost to dropped connections
@@ -136,7 +138,9 @@ class TestChaos:
             client = make_client(server.url)
             for program in PROGRAMS * 2:
                 try:
-                    client.compile({"main.m": program}, verify_plan=True)
+                    client.compile(
+                        CompileRequest({"main.m": program}, verify_plan=True)
+                    )
                 except TRANSPORT_ERRORS:
                     continue
             cache_root = server.server.cache.root
@@ -168,7 +172,9 @@ class TestChaos:
                     program = PROGRAMS[index % len(PROGRAMS)]
                     try:
                         client.compile(
-                            {"main.m": program}, verify_plan=True
+                            CompileRequest(
+                                {"main.m": program}, verify_plan=True
+                            )
                         )
                     except TRANSPORT_ERRORS:
                         pass

@@ -2,9 +2,8 @@
 
 Covers the fault-plan data model, injector determinism, the cache's
 checksum/quarantine machinery, the cc-backend injection point, the
-retrying client + circuit breaker (through the ``_attempt`` seam, no
-sockets), and graceful degradation to the mcc all-heap plan —
-including the property that the fallback verifies clean on every
+retrying client (through the ``_attempt`` seam, no sockets), and
+graceful degradation to the mcc all-heap plan — including the property that the fallback verifies clean on every
 benchmark and that degraded responses round-trip over the wire.
 """
 
@@ -30,13 +29,7 @@ from repro.faults import (
     chaos_plan,
     load_fault_plan,
 )
-from repro.server.client import (
-    CircuitBreaker,
-    CircuitOpenError,
-    ClientResponse,
-    RetryPolicy,
-    ServerClient,
-)
+from repro.server.client import ClientResponse, RetryPolicy, ServerClient
 from repro.service.cache import ArtifactCache
 from repro.verify.checker import verify_plan
 
@@ -454,52 +447,6 @@ class TestRetryPolicy:
         assert first == second
         for attempt, nap in enumerate(first):
             assert 0.0 <= nap <= min(0.5, 0.1 * 2**attempt)
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_recovers(self):
-        now = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_seconds=10.0,
-            clock=lambda: now[0],
-        )
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        now[0] = 11.0
-        assert breaker.allow()          # half-open probe
-        assert not breaker.allow()      # only one probe at a time
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_failure_reopens(self):
-        now = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_seconds=5.0,
-            clock=lambda: now[0],
-        )
-        breaker.record_failure()
-        now[0] = 6.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-
-    def test_client_fails_fast_when_open(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        client = ScriptedClient(
-            [urllib.error.URLError("down")],
-            retry=RetryPolicy(retries=0),
-            breaker=breaker,
-        )
-        with pytest.raises(urllib.error.URLError):
-            client.get("/readyz")
-        with pytest.raises(CircuitOpenError):
-            client.get("/readyz")
-        assert client.attempts == 1
 
 
 # --------------------------------------------------------------------------

@@ -13,11 +13,18 @@ import time
 import pytest
 
 from repro.__main__ import main
+from repro.api import BatchRequest, CompileRequest
+from repro.compiler.pipeline import CompilerOptions
+from repro.core.gctd import GCTDOptions
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.server.metrics import MetricsRegistry
 
 PROGRAM = "a = ones(4); b = a * 2; disp(sum(sum(b)));\n"
 OTHER_PROGRAM = "x = zeros(5); y = x + 3; disp(sum(sum(y)));\n"
+NO_GCTD = CompilerOptions(gctd=GCTDOptions(enabled=False))
+#: tiny requests for the robustness tests' ``compile_impl`` seams
+TINY = CompileRequest({"p.m": "x = 1;"})
+CRASHER = CompileRequest({"p.m": "% CRASH\n"})
 
 
 def make_config(tmp_path, **overrides) -> ServerConfig:
@@ -153,8 +160,6 @@ class TestPlumbing:
         assert "frob" in response.payload["error"]
 
     def test_job_hooks_receive_the_parsed_request(self, tmp_path):
-        from repro.api import BatchRequest, CompileRequest
-
         seen = []
 
         def record(request):
@@ -166,8 +171,12 @@ class TestPlumbing:
             config, compile_impl=record, batch_impl=record
         ) as server:
             client = ServerClient(server.url, timeout=30.0)
-            assert client.compile({"p.m": PROGRAM}, name="c").ok
-            assert client.batch([{"sources": {"p.m": PROGRAM}}]).ok
+            assert client.compile(
+                CompileRequest({"p.m": PROGRAM}, name="c")
+            ).ok
+            assert client.batch(
+                BatchRequest([CompileRequest({"p.m": PROGRAM})])
+            ).ok
         single, batch = seen
         assert isinstance(single, CompileRequest) and single.name == "c"
         assert isinstance(batch, BatchRequest)
@@ -181,7 +190,7 @@ class TestPlumbing:
 
 class TestCompileEndpoint:
     def test_compile_reports_stats(self, client):
-        response = client.compile({"prog.m": PROGRAM})
+        response = client.compile(CompileRequest({"prog.m": PROGRAM}))
         assert response.ok
         payload = response.payload
         assert payload["entry"] == "prog"
@@ -192,13 +201,15 @@ class TestCompileEndpoint:
         assert "c_source" not in payload
 
     def test_emit_c(self, client):
-        response = client.compile({"prog.m": PROGRAM}, emit_c=True)
+        response = client.compile(
+            CompileRequest({"prog.m": PROGRAM}, emit_c=True)
+        )
         assert response.ok
         assert "int main(void)" in response.payload["c_source"]
 
     def test_repeat_submission_hits_cache(self, client):
-        first = client.compile({"prog.m": PROGRAM})
-        second = client.compile({"prog.m": PROGRAM})
+        first = client.compile(CompileRequest({"prog.m": PROGRAM}))
+        second = client.compile(CompileRequest({"prog.m": PROGRAM}))
         assert first.payload["cache_hit"] is False
         assert second.payload["cache_hit"] is True
         assert (
@@ -207,9 +218,9 @@ class TestCompileEndpoint:
         )
 
     def test_options_change_fingerprint(self, client):
-        default = client.compile({"prog.m": PROGRAM})
+        default = client.compile(CompileRequest({"prog.m": PROGRAM}))
         nogctd = client.compile(
-            {"prog.m": PROGRAM}, options={"gctd": False}
+            CompileRequest({"prog.m": PROGRAM}, options=NO_GCTD)
         )
         assert nogctd.payload["cache_hit"] is False
         assert (
@@ -219,13 +230,15 @@ class TestCompileEndpoint:
         assert nogctd.payload["stats"]["static_subsumed"] == 0
 
     def test_compile_error_is_422(self, client):
-        response = client.compile({"prog.m": "x = ) nope"})
+        response = client.compile(
+            CompileRequest({"prog.m": "x = ) nope"})
+        )
         assert response.status == 422
         assert "MatlabSyntaxError" in response.payload["error"]
 
     def test_cache_metrics_exposed(self, client):
-        client.compile({"prog.m": PROGRAM})
-        client.compile({"prog.m": PROGRAM})
+        client.compile(CompileRequest({"prog.m": PROGRAM}))
+        client.compile(CompileRequest({"prog.m": PROGRAM}))
         text = client.metrics_text()
         samples = MetricsRegistry().parse_rendered(text)
         assert samples["repro_cache_hits_total"] == 1
@@ -248,12 +261,11 @@ class TestCompileEndpoint:
 class TestBatchEndpoint:
     def test_batch_dedups_and_reports_items(self, server, client):
         response = client.batch(
-            [
-                {"sources": {"p.m": PROGRAM}, "name": "one"},
-                {"sources": {"p.m": PROGRAM}, "name": "two"},
-                {"sources": {"q.m": OTHER_PROGRAM}, "name": "three"},
-            ],
-            jobs=1,
+            BatchRequest([
+                CompileRequest({"p.m": PROGRAM}, name="one"),
+                CompileRequest({"p.m": PROGRAM}, name="two"),
+                CompileRequest({"q.m": OTHER_PROGRAM}, name="three"),
+            ])
         )
         assert response.status == 200
         items = {
@@ -270,11 +282,10 @@ class TestBatchEndpoint:
 
     def test_batch_partial_failure_reported_per_item(self, client):
         response = client.batch(
-            [
-                {"sources": {"p.m": PROGRAM}, "name": "good"},
-                {"sources": {"q.m": "x = ) nope"}, "name": "bad"},
-            ],
-            jobs=1,
+            BatchRequest([
+                CompileRequest({"p.m": PROGRAM}, name="good"),
+                CompileRequest({"q.m": "x = ) nope"}, name="bad"),
+            ])
         )
         assert response.status == 200
         assert response.payload["ok"] is False
@@ -289,41 +300,46 @@ class TestBatchEndpoint:
         response = client.post_json("/v1/batch", {"requests": []})
         assert response.status == 400
 
-    def test_jobs_accepted_but_serial(self, client):
-        bad = client.batch([{"sources": {"p.m": PROGRAM}}], jobs="many")
-        assert bad.status == 400
-        assert "jobs" in bad.payload["error"]
-        response = client.batch(
-            [
-                {"sources": {"p.m": PROGRAM}},
-                {"sources": {"q.m": OTHER_PROGRAM}},
-            ],
-            jobs=4,
+    def test_legacy_jobs_field_is_ignored(self, client):
+        # schema version 1 carried a no-op ``jobs``; a body that still
+        # sends it gets the same items as one without it
+        body = BatchRequest([
+            CompileRequest({"p.m": PROGRAM}),
+            CompileRequest({"q.m": OTHER_PROGRAM}),
+        ]).to_wire()
+        legacy = client.post_json("/v1/batch", {**body, "jobs": 2})
+        assert legacy.status == 200
+        assert legacy.payload["executor"] == "serial"
+        assert "jobs" not in legacy.payload
+        current = client.post_json("/v1/batch", body)
+        assert current.status == 200
+
+        def same(items):
+            return [
+                (item["name"], item["fingerprint"], item["ok"])
+                for item in items
+            ]
+
+        assert same(legacy.payload["items"]) == same(
+            current.payload["items"]
         )
-        assert response.status == 200
-        assert response.payload["jobs"] == 1
-        assert response.payload["executor"] == "serial"
 
     def test_request_order_preserved(self, client):
         response = client.batch(
-            [
-                {"sources": {"q.m": OTHER_PROGRAM}, "name": "b"},
-                {"sources": {"p.m": PROGRAM}, "name": "a"},
-            ]
+            BatchRequest([
+                CompileRequest({"q.m": OTHER_PROGRAM}, name="b"),
+                CompileRequest({"p.m": PROGRAM}, name="a"),
+            ])
         )
         names = [item["name"] for item in response.payload["items"]]
         assert names == ["b", "a"]
 
     def test_distinct_options_not_deduped(self, client):
         response = client.batch(
-            [
-                {"sources": {"p.m": PROGRAM}, "name": "on"},
-                {
-                    "sources": {"p.m": PROGRAM},
-                    "name": "off",
-                    "options": {"gctd": False},
-                },
-            ]
+            BatchRequest([
+                CompileRequest({"p.m": PROGRAM}, name="on"),
+                CompileRequest({"p.m": PROGRAM}, name="off", options=NO_GCTD),
+            ])
         )
         on, off = response.payload["items"]
         assert not off["deduped"]
@@ -333,10 +349,10 @@ class TestBatchEndpoint:
         self, server, client
     ):
         response = client.batch(
-            [
-                {"sources": {"p.m": PROGRAM}, "name": "a"},
-                {"sources": {"q.m": OTHER_PROGRAM}, "name": "b"},
-            ]
+            BatchRequest([
+                CompileRequest({"p.m": PROGRAM}, name="a"),
+                CompileRequest({"q.m": OTHER_PROGRAM}, name="b"),
+            ])
         )
         assert response.payload["ok"] is True
         samples = MetricsRegistry().parse_rendered(client.metrics_text())
@@ -350,7 +366,7 @@ class TestBatchEndpoint:
         stats = server.server.cache.stats
         assert stats.stores == 2
         # the batch filled the server's in-memory LRU
-        single = client.compile({"p.m": PROGRAM})
+        single = client.compile(CompileRequest({"p.m": PROGRAM}))
         assert single.payload["cache_hit"] is True
         assert stats.memory_hits == 1
 
@@ -365,10 +381,10 @@ class TestBatchEndpoint:
         ) as server:
             client = ServerClient(server.url, timeout=30.0)
             response = client.batch(
-                [
-                    {"sources": {"p.m": PROGRAM}, "name": "one"},
-                    {"sources": {"p.m": PROGRAM}, "name": "two"},
-                ]
+                BatchRequest([
+                    CompileRequest({"p.m": PROGRAM}, name="one"),
+                    CompileRequest({"p.m": PROGRAM}, name="two"),
+                ])
             )
             samples = MetricsRegistry().parse_rendered(
                 client.metrics_text()
@@ -396,7 +412,7 @@ class TestDeadlines:
             client = ServerClient(server.url, timeout=30.0)
             start = time.monotonic()
             response = client.compile(
-                {"p.m": "x = 1;"}, deadline_seconds=0.2
+                CompileRequest({"p.m": "x = 1;"}, deadline_seconds=0.2)
             )
             elapsed = time.monotonic() - start
             assert response.status == 504
@@ -417,15 +433,14 @@ class TestDeadlines:
             client = ServerClient(server.url, timeout=30.0)
             blocker = threading.Thread(
                 target=client.compile,
-                args=({"p.m": "x = 1;"},),
-                kwargs={"name": "blocker"},
+                args=(CompileRequest({"p.m": "x = 1;"}, name="blocker"),),
             )
             blocker.start()
             time.sleep(0.2)  # let the blocker occupy the only worker
             response = client.compile(
-                {"p.m": "y = 2;"},
-                deadline_seconds=0.1,
-                name="victim",
+                CompileRequest(
+                    {"p.m": "y = 2;"}, name="victim", deadline_seconds=0.1
+                )
             )
             blocker.join()
             assert response.status == 504
@@ -439,7 +454,9 @@ class TestDeadlines:
         config = make_config(tmp_path, workers=1)
         with ServerThread(config, compile_impl=slow_impl) as server:
             client = ServerClient(server.url, timeout=30.0)
-            client.compile({"p.m": "x = 1;"}, deadline_seconds=0.1)
+            client.compile(
+                CompileRequest({"p.m": "x = 1;"}, deadline_seconds=0.1)
+            )
             samples = MetricsRegistry().parse_rendered(
                 client.metrics_text()
             )
@@ -472,13 +489,13 @@ class TestWorkerCrashRecovery:
         config = make_config(tmp_path, workers=2)
         with ServerThread(config, compile_impl=impl) as server:
             client = ServerClient(server.url, timeout=30.0)
-            crashed = client.compile({"p.m": "% CRASH\n"})
+            crashed = client.compile(CRASHER)
             assert crashed.status == 500
             assert "crash" in crashed.payload["error"].lower()
 
             # The server keeps serving and capacity is restored.
             for _ in range(4):
-                response = client.compile({"p.m": "x = 1;"})
+                response = client.compile(TINY)
                 assert response.status == 200
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
@@ -503,9 +520,9 @@ class TestWorkerCrashRecovery:
             client = ServerClient(server.url, timeout=30.0)
             for _ in range(4):
                 assert (
-                    client.compile({"p.m": "% CRASH\n"}).status == 500
+                    client.compile(CRASHER).status == 500
                 )
-            assert client.compile({"p.m": "x = 1;"}).status == 200
+            assert client.compile(TINY).status == 200
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +545,7 @@ class TestAdmissionControl:
             threads = [
                 threading.Thread(
                     target=lambda: statuses.append(
-                        client.compile({"p.m": "x = 1;"}).status
+                        client.compile(TINY).status
                     )
                 )
                 for _ in range(6)
@@ -569,7 +586,7 @@ class TestAdmissionControl:
                 # Retry on shed: right after startup the worker may
                 # not have drained the first filler yet, in which
                 # case one of these is legitimately refused.
-                while client.compile({"p.m": "x = 1;"}).status == 429:
+                while client.compile(TINY).status == 429:
                     time.sleep(0.02)
 
             background = [
@@ -588,7 +605,7 @@ class TestAdmissionControl:
             shed = None
             while time.monotonic() < deadline:
                 response = client.compile(
-                    {"p.m": "x = 1;"}, deadline_seconds=0.2
+                    CompileRequest({"p.m": "x = 1;"}, deadline_seconds=0.2)
                 )
                 if response.status == 429:
                     shed = response
@@ -625,7 +642,7 @@ class TestGracefulShutdown:
         result: dict = {}
 
         def submit():
-            result["response"] = client.compile({"p.m": "x = 1;"})
+            result["response"] = client.compile(TINY)
 
         submitter = threading.Thread(target=submit)
         submitter.start()
@@ -653,6 +670,35 @@ class TestGracefulShutdown:
 # --------------------------------------------------------------------------
 
 
+class TestServeCli:
+    def test_flags_map_onto_config_and_unset_ones_keep_its_defaults(
+        self, monkeypatch
+    ):
+        import repro.server
+
+        configs = []
+        monkeypatch.setattr(
+            repro.server, "serve", lambda config: configs.append(config)
+        )
+        main(["serve"])
+        main(
+            [
+                "serve", "--port", "0", "--workers", "3",
+                "--queue-limit", "5", "--deadline", "7",
+                "--drain-seconds", "2", "--cache-dir", "c",
+                "--gctd-deadline", "0.5",
+            ]
+        )
+        main(["serve", "--no-cache"])
+        default, flagged, uncached = configs
+        assert default == ServerConfig()
+        assert flagged == ServerConfig(
+            port=0, workers=3, queue_limit=5, default_deadline=7.0,
+            drain_seconds=2.0, cache_root="c", gctd_deadline_seconds=0.5,
+        )
+        assert uncached.cache_root == ""
+
+
 class TestClientCli:
     @pytest.fixture
     def mfile(self, tmp_path):
@@ -674,6 +720,24 @@ class TestClientCli:
         )
         out = capsys.readouterr().out
         assert "cache_hit             : True" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--no-gctd"]])
+    def test_client_prints_the_same_stats_as_compile(
+        self, server, mfile, capsys, flags
+    ):
+        # one renderer, fed locally by the result and remotely by the
+        # wire reply; --no-gctd checks the options cross the wire too
+        assert main(["compile", mfile, *flags]) == 0
+        local = capsys.readouterr().out.splitlines()[:6]
+        assert (
+            main(["client", "compile", mfile, "--url", server.url, *flags])
+            == 0
+        )
+        remote = capsys.readouterr().out.splitlines()[:6]
+        assert remote == local
+        assert local[0] == "entry function        : prog"
+        gctd_on = not flags
+        assert (local[2] == "subsumed (s/d)        : 0/0") != gctd_on
 
     def test_client_emit_c(self, server, mfile, capsys):
         main(

@@ -14,6 +14,7 @@ import collections
 import threading
 import time
 
+from repro.api import CompileRequest
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.server.metrics import MetricsRegistry
 
@@ -22,7 +23,7 @@ REQUESTS_PER_CLIENT = 7  # 32 × 7 = 224 ≥ 200
 DISTINCT_PROGRAMS = 8
 
 
-def program(index: int) -> dict[str, str]:
+def program(index: int, name: str = "") -> CompileRequest:
     # Same shape, different constants: distinct fingerprints, so the
     # suite exercises both cold compiles and cache hits.
     text = (
@@ -31,7 +32,7 @@ def program(index: int) -> dict[str, str]:
         "c = b + a;\n"
         "disp(sum(sum(c)));\n"
     )
-    return {f"prog{index}.m": text}
+    return CompileRequest({f"prog{index}.m": text}, name=name)
 
 
 def test_load_shedding_cache_and_metrics(tmp_path):
@@ -54,7 +55,7 @@ def test_load_shedding_cache_and_metrics(tmp_path):
             for n in range(REQUESTS_PER_CLIENT):
                 index = (client_index + n) % DISTINCT_PROGRAMS
                 response = client.compile(
-                    program(index), name=f"c{client_index}-r{n}"
+                    program(index, name=f"c{client_index}-r{n}")
                 )
                 with record_lock:
                     outcomes.append((response.status, response.payload))

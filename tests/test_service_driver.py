@@ -8,6 +8,7 @@ process-pool ``parallel_map`` behind
 
 import pytest
 
+from repro.api import BatchRequest, CompileRequest
 from repro.bench.experiments import effective_jobs, parallel_map
 from repro.server import ServerClient, ServerConfig, ServerThread
 
@@ -16,7 +17,7 @@ SRC_B = "x = zeros(3); x(2, 2) = 5; disp(sum(sum(x)));\n"
 
 
 def req(src=SRC_A, name="prog"):
-    return {"sources": {"prog.m": src}, "name": name}
+    return CompileRequest({"prog.m": src}, name=name)
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ def _reject(value: int) -> int:
 
 class TestCompileMany:
     def test_serial_batch(self, server, client):
-        batch = client.batch([req(SRC_A, "a"), req(SRC_B, "b")], jobs=1)
+        batch = client.batch(BatchRequest([req(SRC_A, "a"), req(SRC_B, "b")]))
         assert batch.payload["executor"] == "serial"
         items = batch.payload["items"]
         assert [item["name"] for item in items] == ["a", "b"]
@@ -53,7 +54,7 @@ class TestCompileMany:
 
     def test_single_flight_dedup(self, server, client):
         batch = client.batch(
-            [req(SRC_A, "one"), req(SRC_A, "two")], jobs=2
+            BatchRequest([req(SRC_A, "one"), req(SRC_A, "two")])
         )
         leader, follower = batch.payload["items"]
         assert not leader["deduped"] and follower["deduped"]
@@ -63,7 +64,7 @@ class TestCompileMany:
         assert len(server.server.cache.entries()) == 1
 
     def test_cache_round_trip(self, server, client):
-        requests = [req(SRC_A), req(SRC_B, "b")]
+        requests = BatchRequest([req(SRC_A), req(SRC_B, "b")])
         cold = client.batch(requests).payload
         assert cold["cache_hits"] == 0
         assert cold["executor"] == "serial"
@@ -80,8 +81,9 @@ class TestCompileMany:
 
     def test_per_item_error_captured(self, client):
         batch = client.batch(
-            [req("this is ( not matlab", "bad"), req(SRC_A, "good")],
-            jobs=1,
+            BatchRequest(
+                [req("this is ( not matlab", "bad"), req(SRC_A, "good")]
+            )
         )
         assert batch.status == 200
         bad, good = batch.payload["items"]
