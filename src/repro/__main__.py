@@ -432,33 +432,14 @@ def cmd_serve(args) -> int:
         "default_deadline": args.deadline,
         "cache_root": "" if args.no_cache else args.cache_dir,
         "drain_seconds": args.drain_seconds,
-        "gctd_deadline_seconds": args.gctd_deadline,
+        "fault_plan_path": args.fault_plan,
     }
     # flags left unset keep ServerConfig's defaults
     config = ServerConfig(
         **{key: value for key, value in settings.items() if value is not None}
     )
-    if args.fault_plan:
-        from repro.faults import (
-            ENABLE_FAULTS_ENV,
-            FaultPlanError,
-            faults_enabled,
-            load_fault_plan,
-        )
-
-        if not faults_enabled():
-            return _fail(
-                "--fault-plan injects failures on purpose; set "
-                f"{ENABLE_FAULTS_ENV}=1 in the environment to confirm "
-                "this server is allowed to misbehave"
-            )
-        try:
-            load_fault_plan(args.fault_plan)  # fail fast on bad JSON
-        except FaultPlanError as exc:
-            return _fail(str(exc))
-        config.fault_plan_path = args.fault_plan
     try:
-        config.validate()
+        config.validate()  # also the REPRO_ENABLE_FAULTS gate
     except ValueError as exc:
         return _fail(str(exc))
     return serve(config)
@@ -825,17 +806,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--fault-plan",
-        default="",
         help=(
             "fault-plan JSON for chaos testing; refused unless "
             "REPRO_ENABLE_FAULTS=1 is set"
         ),
-    )
-    p_serve.add_argument(
-        "--gctd-deadline",
-        type=float,
-        help="wall-clock budget for the GCTD pass before degrading "
-        "(seconds; 0 = unlimited)",
     )
     p_serve.set_defaults(fn=cmd_serve)
 

@@ -44,6 +44,20 @@ def _wire_bool(payload: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _wire_deadline(payload: dict) -> float | None:
+    """``deadline_seconds``: absent/null, or a JSON number > 0."""
+    value = payload.get("deadline_seconds")
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not value > 0
+    ):
+        raise ApiValidationError("'deadline_seconds' must be a number > 0")
+    return value
+
+
 def options_from_wire(payload: dict | None) -> CompilerOptions:
     """Parse the `/v1` options object into :class:`CompilerOptions`."""
     payload = payload or {}
@@ -133,7 +147,6 @@ class CompileRequest:
         entry = payload.get("entry")
         if entry is not None and not isinstance(entry, str):
             raise ApiValidationError("'entry' must be a string")
-        deadline = payload.get("deadline_seconds")
         return cls(
             sources=sources,
             entry=entry,
@@ -141,7 +154,7 @@ class CompileRequest:
             name=str(payload.get("name", "") or ""),
             emit_c=_wire_bool(payload, "emit_c", False),
             verify_plan=_wire_bool(payload, "verify_plan", False),
-            deadline_seconds=deadline,
+            deadline_seconds=_wire_deadline(payload),
         )
 
 
@@ -181,9 +194,7 @@ class BatchRequest:
             if not request.name:
                 request.name = f"request-{index}"
             items.append(request)
-        return cls(
-            items=items, deadline_seconds=payload.get("deadline_seconds")
-        )
+        return cls(items=items, deadline_seconds=_wire_deadline(payload))
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ prices one VM evaluation under several models at once.
 from __future__ import annotations
 
 import copy
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -181,7 +180,6 @@ def compile_program(
     cache=None,
     verify_plan: bool = False,
     degrade: bool = False,
-    gctd_deadline_seconds: float | None = None,
     injector=None,
 ) -> CompilationResult:
     """Compile a set of M-files (filename → text).
@@ -199,10 +197,9 @@ def compile_program(
     verified on retrieval when the cached copy lacks a report.
 
     ``degrade=True`` turns a GCTD failure (an exception out of the
-    pass, or exceeding ``gctd_deadline_seconds`` of wall time) into a
-    *degraded* result instead of an error: the allocation plan falls
-    back to the mcc all-heap model, ``result.degraded`` is set, and
-    the fallback plan is still checked for soundness.  Degraded
+    pass) into a *degraded* result instead of an error: the allocation
+    plan falls back to the mcc all-heap model, ``result.degraded`` is
+    set, and the fallback plan is still checked for soundness.  Degraded
     results are never cached — the failure may be transient, and a
     later compile should get another shot at the real plan.  These
     knobs are deliberately keyword-only and outside
@@ -229,7 +226,6 @@ def compile_program(
             tracer,
             fresh,
             degrade=degrade,
-            gctd_deadline_seconds=gctd_deadline_seconds,
             injector=injector,
         )
     if verify_plan:
@@ -255,7 +251,6 @@ def _run_pipeline(
     fresh: FreshDims,
     *,
     degrade: bool = False,
-    gctd_deadline_seconds: float | None = None,
     injector=None,
 ) -> CompilationResult:
     with tracer.span("parse"):
@@ -292,7 +287,6 @@ def _run_pipeline(
 
     with tracer.span("gctd", func) as sp:
         degraded_reason = ""
-        started = time.monotonic()
         try:
             if injector is not None:
                 injector.interrupt("gctd.run")
@@ -301,18 +295,6 @@ def _run_pipeline(
             if not degrade:
                 raise
             degraded_reason = f"gctd failed: {exc}"
-        else:
-            elapsed = time.monotonic() - started
-            if (
-                degrade
-                and gctd_deadline_seconds
-                and elapsed > gctd_deadline_seconds
-            ):
-                degraded_reason = (
-                    f"gctd exceeded deadline: {elapsed:.3f}s > "
-                    f"{gctd_deadline_seconds:.3f}s"
-                )
-        if degraded_reason:
             gctd = mcc_fallback_result(func, env)
             _check_fallback_plan(func, env, gctd.plan)
             sp.details["degraded"] = degraded_reason

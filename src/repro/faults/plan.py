@@ -35,7 +35,7 @@ ENOSPC = "enospc"
 CRASH = "crash"
 #: sleep ``delay_seconds`` at the site (hang / pathological slowness).
 HANG = "hang"
-#: kill the worker thread servicing the request (BaseException-grade).
+#: crash the job a worker picked up (a 500); the worker keeps serving.
 WORKER_DEATH = "worker_death"
 #: close the connection without writing the HTTP response.
 DROP_CONNECTION = "drop_connection"

@@ -2,10 +2,10 @@
 
 ``repro.server`` turns the one-shot service layer (:mod:`repro.service`)
 into a resident daemon: a stdlib-only asyncio JSON-over-HTTP front end
-(:mod:`repro.server.httpd`, :mod:`repro.server.app`) over a bounded
-admission queue (:mod:`repro.server.jobs`) and a crash-surviving worker
-pool (:mod:`repro.server.pool`), instrumented with Prometheus-style
-live metrics (:mod:`repro.server.metrics`).
+(:mod:`repro.server.httpd`, :mod:`repro.server.app`) over a worker pool
+with a bounded admission queue (:mod:`repro.server.pool`) whose workers
+survive any job, instrumented with Prometheus-style live metrics
+(:mod:`repro.server.metrics`).
 
 Endpoints::
 

@@ -2,16 +2,17 @@
 
 Request lifecycle for ``POST /v1/compile``::
 
-    asyncio handler ──validate──▶ AdmissionQueue.try_put ──▶ worker
-         │                │ full                               │
-         │                └────▶ 429 Retry-After               │
-         └──── await future (bounded by the request deadline) ◀┘
+    asyncio handler ──validate──▶ WorkerPool.try_put ──▶ worker
+         │                │ full                           │
+         │                └────▶ 429 Retry-After           │
+         └── await future (bounded by the request deadline) ◀┘
 
 The event loop only parses the body into its typed request (once) and
 waits; all compilation runs on the worker pool.  Every terminal path
-produces a well-formed JSON response: compile errors are 422, worker
-crashes 500 (that request only — the pool respawns the worker),
-deadline expiry 504, shed load 429, drain-time arrivals 503.
+produces a well-formed JSON response: compile errors are 422, crashing
+jobs 500 (that request only — the worker catches the crash and takes
+the next job), deadline expiry 504, shed load 429, drain-time arrivals
+503.
 
 The pipeline is reached through one body, :meth:`CompileServer._compile`:
 ``compile_program(…, tracer=, cache=, degrade=True, injector=)`` plus the
@@ -45,9 +46,8 @@ from repro.server.httpd import (
     read_request,
     text_response,
 )
-from repro.server.jobs import CRASH, EXPIRED, OK, AdmissionQueue, Job
 from repro.server.metrics import MetricsRegistry
-from repro.server.pool import WorkerPool
+from repro.server.pool import CRASH, EXPIRED, OK, Job, WorkerPool
 
 #: Endpoint label used for unroutable paths, so the metrics label set
 #: stays bounded no matter what clients probe.
@@ -67,10 +67,10 @@ class CompileServer:
         injector=None,
     ) -> None:
         self.config = config or ServerConfig()
-        self.config.validate()
+        fault_plan = self.config.validate()
         self.metrics = MetricsRegistry()
         self._define_metrics()
-        self.injector = self._build_injector(injector)
+        self.injector = self._build_injector(injector, fault_plan)
         if cache is not None:
             self.cache = cache
         elif self.config.cache_root:
@@ -82,12 +82,10 @@ class CompileServer:
         self._wire_cache_hooks()
         self._compile_impl = compile_impl or self._do_compile
         self._batch_impl = batch_impl or self._do_batch
-        self.queue = AdmissionQueue(
-            self.config.queue_limit, depth_gauge=self._queue_depth
-        )
         self.pool = WorkerPool(
-            self.queue,
             self.config.workers,
+            self.config.queue_limit,
+            depth_gauge=self._queue_depth,
             inflight_gauge=self._inflight,
             crash_counter=self._worker_crashes,
             injector=self.injector,
@@ -101,34 +99,17 @@ class CompileServer:
 
     # -- fault injection --------------------------------------------------
 
-    def _build_injector(self, injector):
+    def _build_injector(self, injector, fault_plan):
         """Resolve the server's injector; default is inert.
 
-        A fault plan from config is double-gated: the path must be set
-        *and* ``REPRO_ENABLE_FAULTS=1`` must be in the environment, so
-        a copied config file cannot silently put chaos in production.
-        An explicitly passed injector (embedded test runner) is
-        trusted as-is.
+        ``fault_plan`` is the plan :meth:`ServerConfig.validate` loaded
+        past the ``REPRO_ENABLE_FAULTS`` gate.  An explicitly passed
+        injector (embedded test runner) is trusted as-is.
         """
-        from repro.faults import (
-            ENABLE_FAULTS_ENV,
-            FaultInjector,
-            faults_enabled,
-            load_fault_plan,
-        )
+        from repro.faults import FaultInjector
 
-        if injector is None and self.config.fault_plan_path:
-            if not faults_enabled():
-                raise ValueError(
-                    "fault_plan_path is set but fault injection is "
-                    f"not enabled; export {ENABLE_FAULTS_ENV}=1 to "
-                    "confirm this server should misbehave on purpose"
-                )
-            injector = FaultInjector(
-                load_fault_plan(self.config.fault_plan_path)
-            )
         if injector is None:
-            injector = FaultInjector()
+            injector = FaultInjector(fault_plan)
         if injector.on_fire is None:
             injector.on_fire = lambda fault: self._faults_injected.inc(
                 site=fault.site, kind=fault.kind
@@ -178,7 +159,8 @@ class CompileServer:
         )
         self._worker_crashes = m.counter(
             "repro_worker_crashes_total",
-            "Worker threads lost to crashing jobs (and respawned).",
+            "Jobs that crashed (BaseException or injected worker "
+            "death); each is a 500 and the worker keeps serving.",
         )
         self._compiles = m.counter(
             "repro_compiles_total",
@@ -272,9 +254,6 @@ class CompileServer:
                 cache=self.cache,
                 verify_plan=request.verify_plan,
                 degrade=True,
-                gctd_deadline_seconds=(
-                    self.config.gctd_deadline_seconds or None
-                ),
                 injector=self.injector if self.injector.enabled else None,
             )
         except Exception:
@@ -515,7 +494,7 @@ class CompileServer:
                 )
             return 200, {
                 "ready": True,
-                "queue_depth": self.queue.depth(),
+                "queue_depth": self.pool.depth(),
                 "workers_alive": self.pool.alive(),
             }, None, None
         if path == "/metrics":
@@ -534,7 +513,6 @@ class CompileServer:
             raise HttpError(405, "use POST")
         job = self._parse(request_type, request.json())  # 400 early
         return await self._submit(
-            path,
             functools.partial(impl, job),
             self._deadline_from(job.deadline_seconds),
         )
@@ -550,29 +528,23 @@ class CompileServer:
 
     # -- admission and outcome mapping -----------------------------------
 
-    def _deadline_from(self, seconds) -> float:
+    def _deadline_from(self, seconds: float | None) -> float:
+        """The request's deadline (validated by ``repro.api``), capped."""
         if seconds is None:
             seconds = self.config.default_deadline
-        try:
-            seconds = float(seconds)
-        except (TypeError, ValueError):
-            raise HttpError(400, "deadline_seconds must be a number")
-        if seconds <= 0:
-            raise HttpError(400, "deadline_seconds must be > 0")
         return min(seconds, MAX_DEADLINE)
 
-    async def _submit(self, kind: str, fn, deadline_seconds: float):
+    async def _submit(self, fn, deadline_seconds: float):
         if self._stopping or not self._ready:
             raise HttpError(503, "server is draining")
         loop = asyncio.get_running_loop()
         job = Job(
-            kind=kind,
             fn=fn,
             loop=loop,
             future=loop.create_future(),
             deadline=time.monotonic() + deadline_seconds,
         )
-        if not self.queue.try_put(job):
+        if not self.pool.try_put(job):
             self._shed.inc()
             raise HttpError(
                 429,

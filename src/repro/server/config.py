@@ -11,6 +11,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.faults import (
+    ENABLE_FAULTS_ENV,
+    FaultPlan,
+    faults_enabled,
+    load_fault_plan,
+)
 from repro.service.cache import DEFAULT_CACHE_ROOT
 
 DEFAULT_HOST = "127.0.0.1"
@@ -47,20 +53,31 @@ class ServerConfig:
     #: How long graceful shutdown waits for queued + in-flight jobs.
     drain_seconds: float = 10.0
     #: Path to a fault-plan JSON (see :mod:`repro.faults`).  Refused
-    #: at server construction unless ``REPRO_ENABLE_FAULTS=1`` — chaos
+    #: by :meth:`validate` unless ``REPRO_ENABLE_FAULTS=1`` — chaos
     #: must be an explicit, two-key decision.
     fault_plan_path: str = ""
-    #: Wall-clock budget for the GCTD pass before the compile degrades
-    #: to the mcc all-heap plan (0 = unlimited).  A GCTD failure always
-    #: degrades (marked ``degraded``) instead of erroring.
-    gctd_deadline_seconds: float = 0.0
 
-    def validate(self) -> None:
+    def validate(self) -> FaultPlan:
+        """Raise ``ValueError`` on a bad setting; return the fault plan.
+
+        The plan is empty unless ``fault_plan_path`` is set; a set path
+        is loaded only past the ``REPRO_ENABLE_FAULTS`` gate, so a
+        copied config cannot silently put chaos in production.  A
+        malformed plan raises :class:`~repro.faults.FaultPlanError`,
+        itself a ``ValueError``.
+        """
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.default_deadline <= 0:
             raise ValueError("default_deadline must be > 0")
-        if self.gctd_deadline_seconds < 0:
-            raise ValueError("gctd_deadline_seconds must be >= 0")
+        if not self.fault_plan_path:
+            return FaultPlan()
+        if not faults_enabled():
+            raise ValueError(
+                "a fault plan injects failures on purpose; set "
+                f"{ENABLE_FAULTS_ENV}=1 in the environment to confirm "
+                "this server is allowed to misbehave"
+            )
+        return load_fault_plan(self.fault_plan_path)

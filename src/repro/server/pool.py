@@ -1,159 +1,188 @@
-"""The worker pool: threads that execute admitted jobs.
+"""The worker pool: one bounded queue and the threads that drain it.
 
-Compilation is pure-Python CPU work, so the pool is a fixed set of
-daemon threads feeding off the :class:`~repro.server.jobs.
-AdmissionQueue`.  Three properties matter more than raw parallelism:
+A :class:`Job` is one unit of work crossing the asyncio/thread
+boundary: the handler coroutine creates it with an ``asyncio.Future``,
+a worker thread executes ``fn`` and delivers the outcome back onto
+the event loop with ``call_soon_threadsafe``.  Outcomes are tagged
+tuples so the HTTP layer can map them to status codes without the
+pool knowing anything about HTTP:
 
-* **crash isolation** — a job that raises an ordinary ``Exception``
-  is a failed *request*; a job that raises a ``BaseException``
-  (``SystemExit`` from hostile input, a segfaulting C extension's
-  thread-state corruption, test-injected crashes) kills the worker
-  thread.  Either way only that request errors: the dying worker
-  delivers a ``crash`` outcome on the way down and a supervisor
-  hook respawns a replacement, so capacity is restored without a
-  restart;
-* **deadline awareness** — jobs whose deadline passed while queued
-  are skipped (delivered as ``expired``) without running; jobs
-  abandoned by their handler are skipped the same way;
-* **drainable shutdown** — ``stop()`` enqueues one sentinel per
-  worker, so every job admitted before shutdown still runs, then the
-  threads exit and are joined (bounded by ``timeout``).
+``(OK, payload)``
+    the job function returned ``payload`` (a JSON-able dict);
+``(ERROR, message)``
+    the job function raised an :class:`Exception` (a compile error);
+``(CRASH, message)``
+    the job function raised a :class:`BaseException`, or the
+    ``pool.worker`` fault site injected a ``worker_death``;
+``(EXPIRED, None)``
+    the deadline passed, or the handler stopped waiting, while the job
+    was still queued; it never runs.
+
+Compilation is pure-Python CPU work, so the pool is a fixed list of
+daemon threads over one bounded ``queue.Queue``.  ``try_put`` refuses
+instead of blocking, which is what lets the server shed load with
+``429`` instead of building an unbounded backlog.  A worker catches
+everything a job raises, so no job can take a worker down: a crash
+fails that request alone and the worker takes the next job.
+``stop()`` queues one ``None`` per worker behind the backlog, so every
+job admitted before shutdown still runs before the threads exit.
 """
 
 from __future__ import annotations
 
+import asyncio
+import queue
 import threading
+import time
+from dataclasses import dataclass, field
 
-from repro.server.jobs import (
-    CRASH,
-    ERROR,
-    EXPIRED,
-    OK,
-    SENTINEL,
-    AdmissionQueue,
-    Job,
-)
+OK = "ok"
+ERROR = "error"
+CRASH = "crash"
+EXPIRED = "expired"
+
+
+@dataclass(slots=True)
+class Job:
+    """One admitted request travelling loop → queue → worker → loop."""
+
+    fn: object                      # zero-arg callable run on a worker
+    loop: asyncio.AbstractEventLoop
+    future: asyncio.Future
+    deadline: float                 # absolute, time.monotonic() terms
+    #: Set by the handler when it stops waiting (client timeout or
+    #: disconnect); workers skip abandoned jobs and discard results
+    #: that finish after abandonment.
+    abandoned: threading.Event = field(default_factory=threading.Event)
+
+    def deliver(self, tag: str, value=None) -> None:
+        """Hand an outcome to the waiting handler, from any thread."""
+        try:
+            self.loop.call_soon_threadsafe(self._resolve, (tag, value))
+        except RuntimeError:
+            pass  # loop already closed (shutdown race): nobody is waiting
+
+    def _resolve(self, outcome: tuple) -> None:
+        if not self.future.done():
+            self.future.set_result(outcome)
 
 
 class WorkerPool:
     def __init__(
         self,
-        queue: AdmissionQueue,
         size: int,
-        inflight_gauge=None,
-        crash_counter=None,
-        injector=None,
+        queue_limit: int,
+        *,
+        depth_gauge,
+        inflight_gauge,
+        crash_counter,
+        injector,
     ) -> None:
-        self._queue = queue
-        self.size = size
+        self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
+        self._threads = [
+            threading.Thread(
+                target=self._work, name=f"repro-worker-{n}", daemon=True
+            )
+            for n in range(1, size + 1)
+        ]
+        self._depth_gauge = depth_gauge
+        self._depth_lock = threading.Lock()
         self._inflight_gauge = inflight_gauge
         self._crash_counter = crash_counter
-        #: optional :class:`repro.faults.FaultInjector`; consulted at
+        #: a :class:`repro.faults.FaultInjector`, consulted at
         #: ``pool.worker`` before each job (worker_death / hang).
         self._injector = injector
-        self._lock = threading.Lock()
-        self._threads: set[threading.Thread] = set()
-        self._stopping = False
-        self._spawned = 0
+
+    # -- admission -------------------------------------------------------
+
+    def depth(self) -> int:
+        """Jobs waiting for a worker (while draining, the ``None``s too)."""
+        return self._queue.qsize()
+
+    def try_put(self, job: Job) -> bool:
+        """Admit ``job``; False (shed) when the queue is full."""
+        try:
+            self._queue.put_nowait(job)
+        except queue.Full:
+            return False
+        self._publish_depth()
+        return True
+
+    def _publish_depth(self) -> None:
+        # Read and publish under one lock: otherwise a thread can
+        # publish a depth it read before another thread's later get,
+        # and an idle server reports a stale nonzero depth.
+        with self._depth_lock:
+            self._depth_gauge.set(self.depth())
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        with self._lock:
-            self._stopping = False
-            for _ in range(self.size):
-                self._spawn_locked()
-
-    def _spawn_locked(self) -> None:
-        self._spawned += 1
-        thread = threading.Thread(
-            target=self._thread_entry,
-            name=f"repro-worker-{self._spawned}",
-            daemon=True,
-        )
-        self._threads.add(thread)
-        thread.start()
+        for thread in self._threads:
+            thread.start()
 
     def alive(self) -> int:
-        with self._lock:
-            return sum(1 for t in self._threads if t.is_alive())
+        return sum(thread.is_alive() for thread in self._threads)
 
     def stop(self, timeout: float = 10.0) -> bool:
         """Drain queued jobs, then stop every worker.
 
-        Sentinels are FIFO-ordered behind all already-admitted jobs,
-        so "stop" means "finish the backlog, then exit".  Returns True
-        when every worker thread exited within ``timeout``.
+        The caller has stopped admitting, so the queue only shrinks and
+        a timed ``put`` of one ``None`` per worker gets in behind the
+        backlog: "stop" means "finish the backlog, then exit".  Returns
+        True when every worker exited within ``timeout``.
         """
-        with self._lock:
-            self._stopping = True
-            threads = list(self._threads)
-        for _ in threads:
-            self._queue.put_sentinel()
-        drained = True
-        for thread in threads:
-            thread.join(timeout)
-            drained = drained and not thread.is_alive()
-        return drained
+        deadline = time.monotonic() + timeout
+        try:
+            for _ in self._threads:
+                self._queue.put(
+                    None, timeout=max(0.0, deadline - time.monotonic())
+                )
+        except queue.Full:
+            pass  # the backlog outlived the budget; workers are daemons
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        return self.alive() == 0
 
     # -- the worker loop -------------------------------------------------
 
-    def _thread_entry(self) -> None:
-        crashed = False
-        try:
-            while True:
-                item = self._queue.get()
-                try:
-                    if item is SENTINEL:
-                        return
-                    crashed = self._run_job(item)
-                    if crashed:
-                        return
-                finally:
-                    self._queue.task_done()
-        finally:
-            with self._lock:
-                self._threads.discard(threading.current_thread())
-                if crashed:
-                    if self._crash_counter is not None:
-                        self._crash_counter.inc()
-                    if not self._stopping:
-                        self._spawn_locked()
+    def _work(self) -> None:
+        while True:
+            job = self._queue.get()
+            self._publish_depth()
+            if job is None:
+                return
+            self._run(job)
 
-    def _run_job(self, job: Job) -> bool:
-        """Execute one job; returns True when the worker must die."""
-        if job.abandoned.is_set() or job.expired():
+    def _run(self, job: Job) -> None:
+        if job.abandoned.is_set() or time.monotonic() >= job.deadline:
             job.deliver(EXPIRED)
-            return False
+            return
         rule = (
             self._injector.pick("pool.worker")
-            if self._injector is not None and self._injector.enabled
+            if self._injector.enabled
             else None
         )
         if rule is not None and rule.kind == "worker_death":
-            # The worker dies mid-job, exactly like a BaseException
-            # escaping the job body: this request crashes (500), the
-            # supervisor respawns a replacement.
+            self._crash_counter.inc()
             job.deliver(CRASH, "worker crashed: injected worker death")
-            return True
+            return
         if rule is not None and rule.kind == "hang":
             self._injector.sleep(rule.delay_seconds)
-        if self._inflight_gauge is not None:
-            self._inflight_gauge.inc()
+        self._inflight_gauge.inc()
         try:
-            try:
-                payload = job.fn()
-            except Exception as exc:
-                job.deliver(ERROR, f"{type(exc).__name__}: {exc}")
-            except BaseException as exc:
-                job.deliver(
-                    CRASH,
-                    f"worker crashed: {type(exc).__name__}: {exc}",
-                )
-                return True
-            else:
-                job.deliver(OK, payload)
-            return False
+            payload = job.fn()
+        except Exception as exc:
+            job.deliver(ERROR, f"{type(exc).__name__}: {exc}")
+        except BaseException as exc:
+            # A worker thread gets no KeyboardInterrupt and no asyncio
+            # cancellation, so this came from the job (SystemExit, a
+            # test's crash): fail that request and keep serving.
+            self._crash_counter.inc()
+            job.deliver(
+                CRASH, f"worker crashed: {type(exc).__name__}: {exc}"
+            )
+        else:
+            job.deliver(OK, payload)
         finally:
-            if self._inflight_gauge is not None:
-                self._inflight_gauge.dec()
+            self._inflight_gauge.dec()

@@ -321,6 +321,31 @@ class TestValidation:
         with pytest.raises(ApiValidationError):
             BatchRequest.from_wire({"requests": [body]})
 
+    @pytest.mark.parametrize("value", [True, "2", 0, -1, [], float("nan")])
+    def test_deadline_must_be_a_positive_number(self, value):
+        # float(True) is 1.0 and float("2") is 2.0: neither is a number
+        body = {"sources": {"a.m": "x = 1\n"}, "deadline_seconds": value}
+        with pytest.raises(ApiValidationError) as exc:
+            CompileRequest.from_wire(body)
+        assert "'deadline_seconds' must be a number > 0" in str(exc.value)
+        with pytest.raises(ApiValidationError):
+            BatchRequest.from_wire(
+                {"requests": [{"sources": body["sources"]}],
+                 "deadline_seconds": value}
+            )
+        with pytest.raises(ApiValidationError):
+            BatchRequest.from_wire({"requests": [body]})
+
+    @pytest.mark.parametrize("value", [None, 2, 0.25, 1e9])
+    def test_deadline_parses_as_sent(self, value):
+        body = {"sources": {"a.m": "x = 1\n"}, "deadline_seconds": value}
+        assert CompileRequest.from_wire(body).deadline_seconds == value
+        batch = BatchRequest.from_wire(
+            {"requests": [{"sources": body["sources"]}],
+             "deadline_seconds": value}
+        )
+        assert batch.deadline_seconds == value
+
     def test_boolean_flags_parse_as_sent(self):
         request = CompileRequest.from_wire(
             {
@@ -483,6 +508,21 @@ class TestServerErrorEnvelopes:
             response = client.post_json(path, compile_body)
             envelope = assert_envelope(response, 400, "bad_request")
             assert "must be true or false" in envelope.message
+
+    @pytest.mark.parametrize("path", ["/v1/compile", "/v1/batch"])
+    def test_400_bad_deadline_envelope(self, tmp_path, path):
+        # the server used to coerce with float(): true ran as 1 s, "2"
+        # as 2 s
+        with ServerThread(make_config(tmp_path)) as server:
+            client = ServerClient(server.url, timeout=30.0)
+            for value in (True, "2", 0, -1, []):
+                body = {"sources": {"m.m": PROGRAM}}
+                if path == "/v1/batch":
+                    body = {"requests": [body]}
+                body["deadline_seconds"] = value
+                response = client.post_json(path, body)
+                envelope = assert_envelope(response, 400, "bad_request")
+                assert "deadline_seconds" in envelope.message
 
     def test_422_compile_error_envelope(self, tmp_path):
         with ServerThread(make_config(tmp_path)) as server:

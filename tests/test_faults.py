@@ -469,25 +469,6 @@ class TestDegradation:
         with pytest.raises(FaultInjected):
             compile_program(SOURCES, injector=gctd_crash_injector())
 
-    def test_deadline_exceedance_degrades(self):
-        injector = FaultInjector(
-            FaultPlan(
-                rules=(
-                    FaultRule(
-                        "gctd.run", "hang", delay_seconds=0.05
-                    ),
-                )
-            )
-        )
-        result = compile_program(
-            SOURCES,
-            degrade=True,
-            gctd_deadline_seconds=0.01,
-            injector=injector,
-        )
-        assert result.degraded
-        assert "deadline" in result.degraded_reason
-
     def test_degraded_results_are_not_cached(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         injector = gctd_crash_injector(max_fires=1)

@@ -7,8 +7,12 @@ bodies through the ``compile_impl`` seam so they run in milliseconds;
 the end-to-end compile paths use the real pipeline on small programs.
 """
 
+import asyncio
+import functools
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +20,21 @@ from repro.__main__ import main
 from repro.api import BatchRequest, CompileRequest
 from repro.compiler.pipeline import CompilerOptions
 from repro.core.gctd import GCTDOptions
-from repro.server import ServerClient, ServerConfig, ServerThread
+from repro.faults import (
+    ENABLE_FAULTS_ENV,
+    FaultInjector,
+    FaultPlan,
+    FaultPlanError,
+    FaultRule,
+)
+from repro.server import (
+    CompileServer,
+    ServerClient,
+    ServerConfig,
+    ServerThread,
+)
 from repro.server.metrics import MetricsRegistry
+from repro.server.pool import CRASH, ERROR, OK, Job, WorkerPool
 
 PROGRAM = "a = ones(4); b = a * 2; disp(sum(sum(b)));\n"
 OTHER_PROGRAM = "x = zeros(5); y = x + 3; disp(sum(sum(y)));\n"
@@ -25,6 +42,10 @@ NO_GCTD = CompilerOptions(gctd=GCTDOptions(enabled=False))
 #: tiny requests for the robustness tests' ``compile_impl`` seams
 TINY = CompileRequest({"p.m": "x = 1;"})
 CRASHER = CompileRequest({"p.m": "% CRASH\n"})
+CHAOS_PLAN = str(
+    Path(__file__).resolve().parents[1]
+    / "examples" / "faultplans" / "chaos-smoke.json"
+)
 
 
 def make_config(tmp_path, **overrides) -> ServerConfig:
@@ -524,6 +545,88 @@ class TestWorkerCrashRecovery:
                 )
             assert client.compile(TINY).status == 200
 
+    def test_injected_worker_death_fails_only_that_job(self, tmp_path):
+        injector = FaultInjector(
+            FaultPlan(
+                rules=(
+                    FaultRule("pool.worker", "worker_death", max_fires=2),
+                )
+            )
+        )
+        config = make_config(tmp_path, workers=1)
+        with ServerThread(
+            config, compile_impl=lambda request: {"ok": True},
+            injector=injector,
+        ) as server:
+            client = ServerClient(server.url, timeout=30.0)
+            for _ in range(2):
+                response = client.compile(TINY)
+                assert response.status == 500
+                assert "worker death" in response.payload["error"]
+            assert client.compile(TINY).status == 200
+            assert client.health().payload["workers_alive"] == 1
+            samples = MetricsRegistry().parse_rendered(
+                client.metrics_text()
+            )
+            assert samples["repro_worker_crashes_total"] == 2
+
+
+class TestWorkerPool:
+    def test_stress_loses_no_worker_outcome_or_count(self):
+        # more workers than cores, a tiny switch interval, and every
+        # third job crashing: no worker may be lost, every job answered
+        # with its own outcome, and every gauge back at rest
+        registry = MetricsRegistry()
+        depth = registry.gauge("depth", "queued")
+        inflight = registry.gauge("inflight", "running")
+        crashes = registry.counter("crashes", "crashed jobs")
+        pool = WorkerPool(
+            8, 600, depth_gauge=depth, inflight_gauge=inflight,
+            crash_counter=crashes, injector=FaultInjector(),
+        )
+
+        def body(n):
+            if n % 3 == 0:
+                raise _InjectedCrash(n)
+            if n % 3 == 1:
+                raise ValueError(n)
+            return n
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            jobs = [
+                Job(
+                    functools.partial(body, n), loop,
+                    loop.create_future(), time.monotonic() + 60.0,
+                )
+                for n in range(600)
+            ]
+            for job in jobs:
+                assert pool.try_put(job)
+            futures = asyncio.gather(*(job.future for job in jobs))
+            return await asyncio.wait_for(futures, 30.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool.start()
+        try:
+            outcomes = asyncio.run(drive())
+            alive, idle_depth = pool.alive(), depth.value()
+        finally:
+            sys.setswitchinterval(interval)
+            stopped = pool.stop(10.0)
+        assert stopped and pool.alive() == 0
+        assert alive == 8
+        assert [tag for tag, _ in outcomes] == [
+            (CRASH, ERROR, OK)[n % 3] for n in range(600)
+        ]
+        assert [value for tag, value in outcomes if tag == OK] == list(
+            range(2, 600, 3)
+        )
+        assert crashes.value() == 200
+        assert inflight.value() == 0
+        assert idle_depth == 0  # every job taken: nothing is queued
+
 
 # --------------------------------------------------------------------------
 # Load shedding
@@ -653,6 +756,54 @@ class TestGracefulShutdown:
         assert response.status == 200
         assert response.payload["drained"] is True
 
+    def test_full_queue_drains_on_stop(self, tmp_path):
+        started = threading.Event()
+        release = threading.Event()
+
+        def impl(request):
+            started.set()
+            release.wait(10.0)
+            return {"ok": True, "name": request.name}
+
+        config = make_config(tmp_path, workers=1, queue_limit=2)
+        server = ServerThread(config, compile_impl=impl).start()
+        client = ServerClient(server.url, timeout=30.0)
+        statuses: dict = {}
+
+        def submit(name):
+            request = CompileRequest({"p.m": "x = 1;"}, name=name)
+            statuses[name] = client.compile(request).status
+
+        running = threading.Thread(target=submit, args=("running",))
+        running.start()
+        assert started.wait(5.0)  # the only worker is held
+        queued = [
+            threading.Thread(target=submit, args=(f"queued-{n}",))
+            for n in range(2)
+        ]
+        for thread in queued:
+            thread.start()
+        deadline = time.monotonic() + 5.0
+        while client.ready().payload.get("queue_depth") != 2:
+            assert time.monotonic() < deadline, "queue never filled"
+            time.sleep(0.02)
+        assert client.compile(TINY).status == 429  # at its bound
+
+        stopper = threading.Thread(target=server.stop)
+        begun = time.monotonic()
+        stopper.start()
+        time.sleep(0.2)  # shutdown now waits behind the full queue
+        release.set()
+        stopper.join(config.drain_seconds)
+        elapsed = time.monotonic() - begun
+        for thread in (running, *queued):
+            thread.join(10.0)
+        assert not stopper.is_alive()
+        assert elapsed < config.drain_seconds
+        assert statuses == {
+            "running": 200, "queued-0": 200, "queued-1": 200
+        }
+
     def test_stopped_server_refuses_connections(self, tmp_path):
         import urllib.error
 
@@ -686,7 +837,6 @@ class TestServeCli:
                 "serve", "--port", "0", "--workers", "3",
                 "--queue-limit", "5", "--deadline", "7",
                 "--drain-seconds", "2", "--cache-dir", "c",
-                "--gctd-deadline", "0.5",
             ]
         )
         main(["serve", "--no-cache"])
@@ -694,9 +844,55 @@ class TestServeCli:
         assert default == ServerConfig()
         assert flagged == ServerConfig(
             port=0, workers=3, queue_limit=5, default_deadline=7.0,
-            drain_seconds=2.0, cache_root="c", gctd_deadline_seconds=0.5,
+            drain_seconds=2.0, cache_root="c",
         )
         assert uncached.cache_root == ""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        import repro.server
+
+        configs = []
+        monkeypatch.setattr(
+            repro.server, "serve", lambda config: configs.append(config)
+        )
+        return configs
+
+    def test_fault_plan_needs_the_environment_gate(
+        self, served, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(ENABLE_FAULTS_ENV, raising=False)
+        assert main(["serve", "--fault-plan", CHAOS_PLAN]) == 1
+        assert ENABLE_FAULTS_ENV in capsys.readouterr().err
+        assert served == []
+        monkeypatch.setenv(ENABLE_FAULTS_ENV, "1")
+        main(["serve", "--fault-plan", CHAOS_PLAN])
+        assert served[0].fault_plan_path == CHAOS_PLAN
+
+    def test_server_refuses_a_fault_plan_without_the_gate(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(ENABLE_FAULTS_ENV, raising=False)
+        config = make_config(tmp_path, fault_plan_path=CHAOS_PLAN)
+        with pytest.raises(ValueError, match=ENABLE_FAULTS_ENV):
+            CompileServer(config)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", '{"rules": [{"site": "pool.worker", "kind": "x"}]}'],
+    )
+    def test_malformed_fault_plan_is_refused(
+        self, tmp_path, served, monkeypatch, capsys, text
+    ):
+        monkeypatch.setenv(ENABLE_FAULTS_ENV, "1")
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        assert main(["serve", "--fault-plan", str(plan)]) == 1
+        assert "repro: error:" in capsys.readouterr().err
+        assert served == []
+        config = make_config(tmp_path, fault_plan_path=str(plan))
+        with pytest.raises(FaultPlanError):
+            CompileServer(config)
 
 
 class TestClientCli:
