@@ -20,9 +20,6 @@ class LivenessInfo:
     live_in: dict[int, set[str]]
     live_out: dict[int, set[str]]
 
-    def is_live_out(self, block_id: int, name: str) -> bool:
-        return name in self.live_out.get(block_id, ())
-
 
 def _block_use_def(func: IRFunction, bid: int) -> tuple[set[str], set[str]]:
     """(upward-exposed uses, defs) of a block, φs handled per convention."""

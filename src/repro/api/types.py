@@ -44,6 +44,14 @@ def _wire_bool(payload: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _wire_str(payload: dict, key: str) -> str | None:
+    """A JSON string, absent or null; anything else (``true``) is a 400."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ApiValidationError(f"'{key}' must be a string")
+    return value
+
+
 def _wire_deadline(payload: dict) -> float | None:
     """``deadline_seconds``: absent/null, or a JSON number > 0."""
     value = payload.get("deadline_seconds")
@@ -143,15 +151,11 @@ class CompileRequest:
     def from_wire(cls, payload: dict) -> "CompileRequest":
         if not isinstance(payload, dict):
             raise ApiValidationError("request body must be a JSON object")
-        sources = validated_sources(payload)
-        entry = payload.get("entry")
-        if entry is not None and not isinstance(entry, str):
-            raise ApiValidationError("'entry' must be a string")
         return cls(
-            sources=sources,
-            entry=entry,
+            sources=validated_sources(payload),
+            entry=_wire_str(payload, "entry"),
             options=options_from_wire(payload.get("options")),
-            name=str(payload.get("name", "") or ""),
+            name=_wire_str(payload, "name") or "",
             emit_c=_wire_bool(payload, "emit_c", False),
             verify_plan=_wire_bool(payload, "verify_plan", False),
             deadline_seconds=_wire_deadline(payload),
@@ -227,8 +231,7 @@ class CompileStats:
             colors=stats.color_count,
             groups=stats.group_count,
             stack_frame_bytes=result.plan.stack_frame_bytes(),
-            # getattr: cached pickles predating the field lack the slot.
-            degraded=bool(getattr(result, "degraded", False)),
+            degraded=result.degraded,
         )
 
     def to_wire(self) -> dict:
@@ -307,7 +310,7 @@ class CompileResponse:
                 else None
             ),
             c_source=result.generate_c() if emit_c else None,
-            degraded=bool(getattr(result, "degraded", False)),
+            degraded=result.degraded,
         )
 
     def to_wire(self) -> dict:

@@ -17,11 +17,10 @@ prices one VM evaluation under several models at once.
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.analysis.pass_manager import PassStatistics, run_cleanup_pipeline
+from repro.analysis.pass_manager import run_cleanup_pipeline
 from repro.core.gctd import (
     GCTDOptions,
     GCTDResult,
@@ -50,16 +49,20 @@ _MAX_INFERENCE_ROUNDS = 4
 #: fingerprint (see :mod:`repro.service.fingerprint`); bump it whenever
 #: a pass change makes previously cached compilation results stale.
 #: "2": CompilationResult grew the `verification` field (plan checker).
-PIPELINE_VERSION = "2"
+#: "3": the pickled result changed shape (GCTDResult holds only graph,
+#: plan and interference stats; no `pass_stats`), so a "2" pickle must
+#: miss rather than load with fields the classes no longer have.
+PIPELINE_VERSION = "3"
 
 
 class _NullSpan:
     """Detail sink used when no tracer is injected."""
 
-    __slots__ = ("details",)
+    __slots__ = ("details", "instructions")
 
     def __init__(self) -> None:
         self.details: dict = {}
+        self.instructions: int | None = None
 
 
 class _NullTracer:
@@ -97,15 +100,12 @@ class CompilationResult:
     exec_func: IRFunction         # inverted, executable IR
     env: TypeEnvironment
     gctd: GCTDResult
-    pass_stats: PassStatistics
     options: CompilerOptions
     identity_copies_folded: int = 0
     #: result of the independent plan checker (see :mod:`repro.verify`);
     #: None unless the compilation ran with ``verify_plan=True``.
     verification: object = None
     #: True when GCTD failed and the plan is the mcc all-heap fallback.
-    #: Read via ``getattr(result, "degraded", False)`` — cached pickles
-    #: from before this field existed lack the slot.
     degraded: bool = False
     #: why the compilation degraded (empty when it did not).
     degraded_reason: str = ""
@@ -261,12 +261,11 @@ def _run_pipeline(
     with tracer.span("ssa", func):
         construct_ssa(func)
     with tracer.span("cleanup", func) as sp:
-        pass_stats = run_cleanup_pipeline(
+        sp.details["iterations"] = run_cleanup_pipeline(
             func,
             enable_cse=options.enable_cse,
             enable_constfold=options.enable_constfold,
-        )
-        sp.details["iterations"] = pass_stats.iterations
+        ).iterations
     with tracer.span("infer", func):
         env = infer_types(func, fresh)
     if options.enable_shapefold:
@@ -306,23 +305,23 @@ def _run_pipeline(
         sp.details["colors"] = gctd.plan.stats.color_count
         sp.details["groups"] = gctd.plan.stats.group_count
 
-    with tracer.span("invert", func) as sp:
-        ssa_snapshot = copy.deepcopy(func)
-        invert_ssa(func)
+    with tracer.span("invert") as sp:
+        exec_func = invert_ssa(func)
+        # the pass's output is a new function, so count it here
+        sp.instructions = len(exec_func.instructions())
         # Identity copies (same storage group) stay in the executable
         # IR — the environment is name-keyed — but they cost nothing in
         # the mat2c model and the C back end emits no code for them.
         # Count them here for the report.
-        folded_copies = _count_identity_copies(func, gctd.plan)
+        folded_copies = _count_identity_copies(exec_func, gctd.plan)
         sp.details["identity_copies_folded"] = folded_copies
 
     return CompilationResult(
         program=program,
-        ssa_func=ssa_snapshot,
-        exec_func=func,
+        ssa_func=func,
+        exec_func=exec_func,
         env=env,
         gctd=gctd,
-        pass_stats=pass_stats,
         options=options,
         identity_copies_folded=folded_copies,
         degraded=bool(degraded_reason),

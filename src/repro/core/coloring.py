@@ -23,19 +23,6 @@ class Coloring:
     color_of: dict[str, int] = field(default_factory=dict)
     num_colors: int = 0
 
-    def color_classes(self) -> dict[int, list[str]]:
-        classes: dict[int, list[str]] = {}
-        for name, color in self.color_of.items():
-            classes.setdefault(color, []).append(name)
-        return classes
-
-    def same_color(self, a: str, b: str) -> bool:
-        return (
-            a in self.color_of
-            and b in self.color_of
-            and self.color_of[a] == self.color_of[b]
-        )
-
 
 def color_graph(
     graph: InterferenceGraph, lexical_order: list[str]

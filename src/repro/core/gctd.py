@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.availability import AvailabilityInfo, compute_availability
-from repro.analysis.liveness import LivenessInfo, compute_liveness
+from repro.analysis.availability import compute_availability
+from repro.analysis.liveness import compute_liveness
 from repro.ir.cfg import IRFunction
 from repro.typing.infer import TypeEnvironment
 
@@ -33,12 +33,7 @@ from repro.core.allocation import (
     build_allocation_plan,
 )
 from repro.core.coalesce import coalesce_phi_webs
-from repro.core.coloring import (
-    Coloring,
-    color_graph,
-    coloring_order,
-    verify_coloring,
-)
+from repro.core.coloring import color_graph, coloring_order, verify_coloring
 from repro.core.interference import (
     InterferenceGraph,
     InterferenceStats,
@@ -60,11 +55,8 @@ class GCTDOptions(OptionSet):
 @dataclass(slots=True)
 class GCTDResult:
     graph: InterferenceGraph
-    coloring: Coloring
     plan: AllocationPlan
     interference_stats: InterferenceStats
-    liveness: LivenessInfo
-    availability: AvailabilityInfo
 
 
 def run_gctd(
@@ -74,12 +66,11 @@ def run_gctd(
 ) -> GCTDResult:
     """Run both GCTD phases on an SSA function with inferred types."""
     options = options or GCTDOptions()
+    if not options.enabled:
+        return _trivial_result(func, env)
+
     liveness = compute_liveness(func)
     availability = compute_availability(func)
-
-    if not options.enabled:
-        return _trivial_result(func, env, liveness, availability)
-
     graph, stats = build_interference_graph(func, liveness, availability)
     add_operator_semantics_interference(
         func, graph, env, options.opsem, stats
@@ -99,22 +90,10 @@ def run_gctd(
         availability,
         use_symbolic=options.phase2_symbolic,
     )
-    return GCTDResult(
-        graph=graph,
-        coloring=coloring,
-        plan=plan,
-        interference_stats=stats,
-        liveness=liveness,
-        availability=availability,
-    )
+    return GCTDResult(graph=graph, plan=plan, interference_stats=stats)
 
 
-def mcc_fallback_result(
-    func: IRFunction,
-    env: TypeEnvironment,
-    liveness: LivenessInfo | None = None,
-    availability: AvailabilityInfo | None = None,
-) -> GCTDResult:
+def mcc_fallback_result(func: IRFunction, env: TypeEnvironment) -> GCTDResult:
     """The mcc 2.2 allocation model: every variable alone, on the heap.
 
     This is the graceful-degradation fallback the pipeline reaches for
@@ -127,18 +106,10 @@ def mcc_fallback_result(
     checker over it; soundness here is cheap insurance, not an excuse
     to skip verification.
     """
-    if liveness is None:
-        liveness = compute_liveness(func)
-    if availability is None:
-        availability = compute_availability(func)
     graph = InterferenceGraph()
     names = func.defined_vars()
     for name in names:
         graph.add_node(name)
-    coloring = Coloring(
-        color_of={name: i for i, name in enumerate(names)},
-        num_colors=len(names),
-    )
     groups: list[StorageGroup] = []
     group_of: dict[str, int] = {}
     resize_marks: dict[str, str] = {}
@@ -167,21 +138,11 @@ def mcc_fallback_result(
         stats=stats,
     )
     return GCTDResult(
-        graph=graph,
-        coloring=coloring,
-        plan=plan,
-        interference_stats=InterferenceStats(),
-        liveness=liveness,
-        availability=availability,
+        graph=graph, plan=plan, interference_stats=InterferenceStats()
     )
 
 
-def _trivial_result(
-    func: IRFunction,
-    env: TypeEnvironment,
-    liveness: LivenessInfo,
-    availability: AvailabilityInfo,
-) -> GCTDResult:
+def _trivial_result(func: IRFunction, env: TypeEnvironment) -> GCTDResult:
     """No coalescing at all: one group per variable (Figure 6 baseline).
 
     φ-webs must still share storage for out-of-SSA correctness *not* to
@@ -193,10 +154,6 @@ def _trivial_result(
     names = func.defined_vars()
     for name in names:
         graph.add_node(name)
-    coloring = Coloring(
-        color_of={name: i for i, name in enumerate(names)},
-        num_colors=len(names),
-    )
     groups: list[StorageGroup] = []
     group_of: dict[str, int] = {}
     stats = ReductionStats(original_variable_count=len(names))
@@ -227,10 +184,5 @@ def _trivial_result(
         stats=stats,
     )
     return GCTDResult(
-        graph=graph,
-        coloring=coloring,
-        plan=plan,
-        interference_stats=InterferenceStats(),
-        liveness=liveness,
-        availability=availability,
+        graph=graph, plan=plan, interference_stats=InterferenceStats()
     )

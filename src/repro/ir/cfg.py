@@ -127,9 +127,6 @@ class IRFunction:
                 seen.setdefault(res)
         return list(seen)
 
-    def variable_count(self) -> int:
-        return len(self.defined_vars())
-
     # -- verification ----------------------------------------------------
 
     def verify(self) -> None:

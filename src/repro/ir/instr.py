@@ -43,10 +43,6 @@ class Const:
         return repr(v)
 
     @property
-    def is_real(self) -> bool:
-        return self.value.imag == 0
-
-    @property
     def is_integer(self) -> bool:
         return self.value.imag == 0 and self.value.real == int(self.value.real)
 
@@ -182,13 +178,6 @@ class Instr:
     def used_vars(self) -> list[str]:
         """Names of variables read by this instruction (with repeats)."""
         return [a.name for a in self.args if isinstance(a, Var)]
-
-    def replace_uses(self, mapping: dict[str, str]) -> None:
-        """Rename used variables in place according to ``mapping``."""
-        self.args = [
-            Var(mapping.get(a.name, a.name)) if isinstance(a, Var) else a
-            for a in self.args
-        ]
 
     def __str__(self) -> str:
         args = ", ".join(str(a) for a in self.args)

@@ -263,7 +263,7 @@ class CompileServer:
         wall = time.perf_counter() - start
         self._compiles.inc(result="ok")
         self._record_trace(tracer)
-        if getattr(result, "degraded", False):
+        if result.degraded:
             self._degraded.inc()
         if result.verification is not None:
             verdict = "ok" if result.verification.ok else "unsound"
@@ -324,7 +324,7 @@ class CompileServer:
                     item["error"] = f"{type(exc).__name__}: {exc}"
                 else:
                     item.update(cache_hit=cache_hit, wall_seconds=wall)
-                    if getattr(result, "degraded", False):
+                    if result.degraded:
                         item["degraded"] = True
             if "error" in item:
                 disposition = "error"

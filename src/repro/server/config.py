@@ -56,6 +56,11 @@ class ServerConfig:
     #: by :meth:`validate` unless ``REPRO_ENABLE_FAULTS=1`` — chaos
     #: must be an explicit, two-key decision.
     fault_plan_path: str = ""
+    #: the plan :meth:`validate` loaded, so validating again (the CLI,
+    #: then the server it starts) reads the file once
+    _fault_plan: FaultPlan | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def validate(self) -> FaultPlan:
         """Raise ``ValueError`` on a bad setting; return the fault plan.
@@ -80,4 +85,6 @@ class ServerConfig:
                 f"{ENABLE_FAULTS_ENV}=1 in the environment to confirm "
                 "this server is allowed to misbehave"
             )
-        return load_fault_plan(self.fault_plan_path)
+        if self._fault_plan is None:
+            self._fault_plan = load_fault_plan(self.fault_plan_path)
+        return self._fault_plan

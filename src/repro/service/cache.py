@@ -3,7 +3,9 @@
 Layout (default root ``.repro-cache/``)::
 
     objects/<fingerprint>/
-        plan        pickled CompilationResult (IR, env, allocation plan)
+        plan        pickled CompilationResult: AST, SSA and executable
+                    IR (shared instructions pickled once), type env,
+                    GCTD graph, allocation plan, interference stats
         meta.json   fingerprint, pipeline version, plan checksum
     quarantine/<fingerprint>-<n>/   corrupted entries, kept for autopsy
     bin/<key>/program       compiled binaries, keyed by
@@ -28,10 +30,12 @@ on :attr:`CacheStats.quarantined`, reported through the
 ``on_quarantine`` hook, and the caller's recompile-and-store
 transparently re-derives a clean entry.  Metadata-level problems
 (missing/unreadable meta, pipeline version skew) are ordinary
-repairable misses, removed in place.  A store that fails with
-``OSError`` (e.g. ``ENOSPC``) degrades to memory-only: the result
-stays servable from the in-process LRU and the disk entry is simply
-absent.
+repairable misses, removed in place; a change to what the plan pickles
+bumps :data:`~repro.compiler.pipeline.PIPELINE_VERSION`, so older
+entries miss instead of failing to load as corrupt.  A store that
+fails with ``OSError`` (e.g. ``ENOSPC``) degrades to memory-only: the
+result stays servable from the in-process LRU and the disk entry is
+simply absent.
 
 Fault injection: the optional ``injector``
 (:class:`repro.faults.FaultInjector`) mangles the bytes written or

@@ -5,6 +5,11 @@ result with its operands whenever they don't interfere, so that the
 copies inserted here become *identity assignments* (same color ⇒ same
 storage) that code generation drops.
 
+:func:`invert_ssa` leaves the SSA function untouched (GCTD's plan and
+:mod:`repro.verify` are stated on it) and returns the executable
+function: new blocks, terminators and φs, sharing every other
+:class:`~repro.ir.instr.Instr` with the SSA form.
+
 The implementation handles the two classic correctness traps:
 
 * **critical edges** are split so a copy inserted for edge P→B cannot
@@ -17,6 +22,7 @@ The implementation handles the two classic correctness traps:
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 
 from repro.ir.cfg import Block, IRFunction
@@ -93,13 +99,22 @@ def _sequentialize_parallel_copies(
     return ordered
 
 
-def invert_ssa(func: IRFunction) -> IRFunction:
-    """Replace every φ with copies on the incoming edges (in place).
+def invert_ssa(ssa: IRFunction) -> IRFunction:
+    """Return the executable function: ``ssa`` with φs turned into copies.
 
-    After this pass the function is no longer in SSA form (names may be
-    written on several paths), but it is executable IR: GCTD colors are
-    attached to SSA names, which are preserved as-is.
+    The result is no longer in SSA form (names may be written on
+    several paths), but it is executable IR: GCTD colors are attached
+    to SSA names, which are preserved as-is.
     """
+    func = copy.copy(ssa)
+    func.blocks = {
+        bid: Block(
+            bid,
+            [copy.copy(i) if i.is_phi else i for i in block.instrs],
+            copy.copy(block.terminator),
+        )
+        for bid, block in ssa.blocks.items()
+    }
     split_critical_edges(func)
 
     # Collect per-edge parallel copy sets: (pred_block, succ_block)
@@ -117,4 +132,3 @@ def invert_ssa(func: IRFunction) -> IRFunction:
         for dst, src in ordered:
             pred.append(Instr(op="copy", results=[dst], args=[src]))
     return func
-

@@ -32,10 +32,6 @@ class Intrinsic(IntEnum):
     def join(self, other: "Intrinsic") -> "Intrinsic":
         return Intrinsic(max(self.value, other.value))
 
-    @property
-    def is_concrete(self) -> bool:
-        return self not in (Intrinsic.NONREAL, Intrinsic.ILLEGAL)
-
 
 #: |τ| — bytes per scalar in the generated C (paper §3.2).
 STORAGE_SIZE: dict[Intrinsic, int] = {

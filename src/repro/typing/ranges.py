@@ -64,9 +64,6 @@ class Interval:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def definitely_le(self, other: "Interval") -> bool:
-        return self.hi <= other.lo
-
     # -- lattice -----------------------------------------------------------
 
     def join(self, other: "Interval") -> "Interval":

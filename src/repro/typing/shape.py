@@ -367,9 +367,6 @@ class Shape:
             )
         return Shape.unknown(self.rank)
 
-    def with_exact(self, exact: bool) -> "Shape":
-        return Shape(self.dims, exact, self.rank_exact)
-
     def __str__(self) -> str:
         inner = ", ".join(str(d) for d in self.dims)
         marker = "" if self.exact else "~"

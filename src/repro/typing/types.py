@@ -41,10 +41,6 @@ class VarType:
     def is_scalar(self) -> bool:
         return self.shape.is_scalar
 
-    @property
-    def maybe_nonscalar(self) -> bool:
-        return not self.is_scalar
-
     def storage_size(self) -> Dim:
         """|s(u)|·|τ(u)| as a (possibly symbolic) byte count."""
         return dim_mul(self.shape.numel(), ConstDim(scalar_size(self.intrinsic)))

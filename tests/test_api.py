@@ -256,6 +256,21 @@ class TestValidation:
                 {"sources": {"a.m": "x = 1\n"}, "entry": 7}
             )
 
+    def test_name_is_a_string_or_absent(self):
+        # str() used to coerce it: true became the name "True"
+        sources = {"a.m": "x = 1\n"}
+        for value in (True, 3, {"a": 1}, ["x"]):
+            body = {"sources": sources, "name": value}
+            with pytest.raises(ApiValidationError, match="'name' must be"):
+                CompileRequest.from_wire(body)
+            with pytest.raises(ApiValidationError, match="'name' must be"):
+                BatchRequest.from_wire({"requests": [body]})
+        assert CompileRequest.from_wire({"sources": sources}).name == ""
+        null = {"sources": sources, "name": None}
+        assert CompileRequest.from_wire(null).name == ""
+        batch = BatchRequest.from_wire({"requests": [null]})
+        assert batch.items[0].name == "request-0"
+
     def test_batch_missing_requests(self):
         with pytest.raises(ApiValidationError) as exc:
             BatchRequest.from_wire({})
@@ -523,6 +538,17 @@ class TestServerErrorEnvelopes:
                 response = client.post_json(path, body)
                 envelope = assert_envelope(response, 400, "bad_request")
                 assert "deadline_seconds" in envelope.message
+
+    @pytest.mark.parametrize("path", ["/v1/compile", "/v1/batch"])
+    def test_400_non_string_name_envelope(self, tmp_path, path):
+        body = {"sources": {"m.m": PROGRAM}, "name": True}
+        if path == "/v1/batch":
+            body = {"requests": [{"sources": {"m.m": PROGRAM}}, body]}
+        with ServerThread(make_config(tmp_path)) as server:
+            client = ServerClient(server.url, timeout=30.0)
+            response = client.post_json(path, body)
+            envelope = assert_envelope(response, 400, "bad_request")
+            assert "'name' must be a string" in envelope.message
 
     def test_422_compile_error_envelope(self, tmp_path):
         with ServerThread(make_config(tmp_path)) as server:

@@ -339,6 +339,26 @@ class TestAllocationPlan:
         assert plan.stats.dynamic_subsumed == 0
         assert all(len(g.members) == 1 for g in plan.groups)
 
+    def test_trivial_and_fallback_plans_skip_the_analyses(
+        self, monkeypatch
+    ):
+        import repro.core.gctd as gctd
+
+        def refuse(func):
+            raise AssertionError("analysis run for a plan that reads none")
+
+        monkeypatch.setattr(gctd, "compute_liveness", refuse)
+        monkeypatch.setattr(gctd, "compute_availability", refuse)
+        func, env, result = compile_to_gctd(
+            "a = zeros(4); b = a + 1; disp(b);",
+            options=GCTDOptions(enabled=False),
+        )
+        assert all(len(g.members) == 1 for g in result.plan.groups)
+        fallback = gctd.mcc_fallback_result(func, env)
+        assert all(
+            g.storage is StorageClass.HEAP for g in fallback.plan.groups
+        )
+
     def test_stack_frame_bytes(self):
         func, env, result = compile_to_gctd(
             "a = zeros(10); disp(a);"

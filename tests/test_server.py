@@ -894,6 +894,29 @@ class TestServeCli:
         with pytest.raises(FaultPlanError):
             CompileServer(config)
 
+    def test_serve_reads_the_fault_plan_once(self, monkeypatch):
+        import repro.server.app as app
+        import repro.server.config as config_module
+
+        loads = []
+        load = config_module.load_fault_plan
+        monkeypatch.setattr(
+            config_module,
+            "load_fault_plan",
+            lambda path: loads.append(path) or load(path),
+        )
+        built = []
+
+        async def build_only(config):
+            built.append(CompileServer(config))
+
+        monkeypatch.setattr(app, "_serve_async", build_only)
+        monkeypatch.setenv(ENABLE_FAULTS_ENV, "1")
+        argv = ["serve", "--no-cache", "--fault-plan", CHAOS_PLAN]
+        assert main(argv) == 0
+        assert loads == [CHAOS_PLAN]
+        assert built[0].injector.enabled
+
 
 class TestClientCli:
     @pytest.fixture

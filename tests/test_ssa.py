@@ -124,7 +124,7 @@ class TestParallelCopies:
 class TestInversion:
     def test_phis_removed(self):
         func = to_ssa("i = 0;\nwhile i < 4\n i = i + 1;\nend\nz = i;")
-        invert_ssa(func)
+        func = invert_ssa(func)
         assert not any(i.is_phi for i in func.instructions())
         func.verify()
 
@@ -134,9 +134,25 @@ class TestInversion:
         )
         n_phis = sum(1 for i in func.instructions() if i.is_phi)
         assert n_phis >= 1
-        invert_ssa(func)
+        func = invert_ssa(func)
         copies = [i for i in func.instructions() if i.op == "copy"]
         assert len(copies) >= 2 * n_phis  # one per incoming edge
+
+    def test_ssa_function_left_untouched(self):
+        ssa = to_ssa(
+            "a = 1; b = 2;\nfor k = 1:3\n t = a; a = b; b = t;\nend\n"
+            "if a > b\n c = a;\nelse\n c = b;\nend\ndisp(c);"
+        )
+        before = str(ssa)
+        exec_func = invert_ssa(ssa)
+        assert str(ssa) == before
+        verify_ssa(ssa)
+        assert not any(i.is_phi for i in exec_func.instructions())
+        exec_func.verify()
+        # every non-φ instruction of the SSA form is reused, not copied
+        shared = {id(i) for i in exec_func.instructions()}
+        non_phis = [i for i in ssa.instructions() if not i.is_phi]
+        assert non_phis and all(id(i) in shared for i in non_phis)
 
     def test_critical_edge_split(self):
         # while-loop exit edge from the header (2 succs) to a join with
