@@ -20,7 +20,6 @@ from repro.api.types import (
     CompileResponse,
     CompileStats,
     ErrorEnvelope,
-    UnknownOptionError,
     WIRE_OPTION_KEYS,
     code_for_status,
     options_from_wire,
@@ -37,7 +36,6 @@ __all__ = [
     "CompileStats",
     "ErrorEnvelope",
     "SCHEMA_VERSION",
-    "UnknownOptionError",
     "WIRE_OPTION_KEYS",
     "api_schema",
     "code_for_status",

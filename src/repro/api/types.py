@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.compiler.pipeline import CompilerOptions
 from repro.core.gctd import GCTDOptions
-from repro.core.optionset import UnknownOptionError
 
 
 class ApiValidationError(ValueError):
@@ -294,7 +293,6 @@ class CompileResponse:
         report: str = "",
         emit_c: bool = False,
     ) -> "CompileResponse":
-        verification = getattr(result, "verification", None)
         return cls(
             ok=True,
             name=name,
@@ -305,8 +303,8 @@ class CompileResponse:
             stats=CompileStats.from_result(result),
             report=report,
             verification=(
-                verification.to_dict()
-                if verification is not None
+                result.verification.to_dict()
+                if result.verification is not None
                 else None
             ),
             c_source=result.generate_c() if emit_c else None,
@@ -438,7 +436,6 @@ __all__ = [
     "CompileResponse",
     "CompileStats",
     "ErrorEnvelope",
-    "UnknownOptionError",
     "WIRE_OPTION_KEYS",
     "code_for_status",
     "options_from_wire",

@@ -172,9 +172,6 @@ class CEmitter:
             self.compilation.env.of(name).intrinsic is Intrinsic.COMPLEX
         )
 
-    def _ctype_of(self, name: str) -> str:
-        return "double complex" if self._is_complex(name) else "double"
-
     def _operand(self, op: Operand) -> _COperand:
         if isinstance(op, Const):
             if op.value.imag != 0:

@@ -27,7 +27,6 @@ from repro.core.gctd import (
     mcc_fallback_result,
     run_gctd,
 )
-from repro.core.optionset import OptionSet
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse_program
 from repro.interp.interpreter import InterpResult, interpret
@@ -85,7 +84,7 @@ _NULL_TRACER = _NullTracer()
 
 
 @dataclass(slots=True)
-class CompilerOptions(OptionSet):
+class CompilerOptions:
     gctd: GCTDOptions = field(default_factory=GCTDOptions)
     enable_cse: bool = True
     enable_constfold: bool = True

@@ -40,11 +40,10 @@ from repro.core.interference import (
     build_interference_graph,
 )
 from repro.core.opsem import OpsemConfig, add_operator_semantics_interference
-from repro.core.optionset import OptionSet
 
 
 @dataclass(slots=True)
-class GCTDOptions(OptionSet):
+class GCTDOptions:
     enabled: bool = True                 # Figure 6's on/off switch
     opsem: OpsemConfig = field(default_factory=OpsemConfig)
     phi_coalescing: bool = True
@@ -67,7 +66,7 @@ def run_gctd(
     """Run both GCTD phases on an SSA function with inferred types."""
     options = options or GCTDOptions()
     if not options.enabled:
-        return _trivial_result(func, env)
+        return _singleton_result(func, env, all_heap=False)
 
     liveness = compute_liveness(func)
     availability = compute_availability(func)
@@ -106,67 +105,36 @@ def mcc_fallback_result(func: IRFunction, env: TypeEnvironment) -> GCTDResult:
     checker over it; soundness here is cheap insurance, not an excuse
     to skip verification.
     """
-    graph = InterferenceGraph()
-    names = func.defined_vars()
-    for name in names:
-        graph.add_node(name)
-    groups: list[StorageGroup] = []
-    group_of: dict[str, int] = {}
-    resize_marks: dict[str, str] = {}
-    stats = ReductionStats(original_variable_count=len(names))
-    for i, name in enumerate(names):
-        vartype = env.of(name)
-        groups.append(
-            StorageGroup(
-                gid=i,
-                color=i,
-                storage=StorageClass.HEAP,
-                intrinsic=vartype.intrinsic,
-                root=name,
-                members=[name],
-                static_size=None,
-            )
-        )
-        group_of[name] = i
-        resize_marks[name] = MAY_RESIZE
-    stats.group_count = len(groups)
-    stats.color_count = len(names)
-    plan = AllocationPlan(
-        groups=groups,
-        group_of=group_of,
-        resize_marks=resize_marks,
-        stats=stats,
-    )
-    return GCTDResult(
-        graph=graph, plan=plan, interference_stats=InterferenceStats()
-    )
+    return _singleton_result(func, env, all_heap=True)
 
 
-def _trivial_result(func: IRFunction, env: TypeEnvironment) -> GCTDResult:
-    """No coalescing at all: one group per variable (Figure 6 baseline).
+def _singleton_result(
+    func: IRFunction, env: TypeEnvironment, *, all_heap: bool
+) -> GCTDResult:
+    """No coalescing at all: one group per variable.
 
-    φ-webs must still share storage for out-of-SSA correctness *not* to
-    insert array copies…  but that is exactly what the paper's baseline
-    pays for: without GCTD, the reintroduced copies stay.  So here each
-    SSA name really does get its own storage.
+    With ``all_heap`` off this is Figure 6's no-GCTD baseline: a name
+    of static size gets its own stack slot, the rest the heap, and no
+    definition is marked to resize.  φ-webs must still share storage
+    for out-of-SSA correctness *not* to insert array copies…  but that
+    is exactly what the paper's baseline pays for: without GCTD, the
+    reintroduced copies stay.  So here each SSA name really does get
+    its own storage.
     """
     graph = InterferenceGraph()
     names = func.defined_vars()
-    for name in names:
-        graph.add_node(name)
     groups: list[StorageGroup] = []
-    group_of: dict[str, int] = {}
-    stats = ReductionStats(original_variable_count=len(names))
     for i, name in enumerate(names):
+        graph.add_node(name)
         vartype = env.of(name)
-        size = vartype.static_storage_size()
+        size = None if all_heap else vartype.static_storage_size()
         groups.append(
             StorageGroup(
                 gid=i,
                 color=i,
                 storage=(
-                    StorageClass.STACK if size is not None
-                    else StorageClass.HEAP
+                    StorageClass.HEAP if size is None
+                    else StorageClass.STACK
                 ),
                 intrinsic=vartype.intrinsic,
                 root=name,
@@ -174,14 +142,15 @@ def _trivial_result(func: IRFunction, env: TypeEnvironment) -> GCTDResult:
                 static_size=size,
             )
         )
-        group_of[name] = i
-    stats.group_count = len(groups)
-    stats.color_count = len(names)
     plan = AllocationPlan(
         groups=groups,
-        group_of=group_of,
-        resize_marks={},
-        stats=stats,
+        group_of={name: i for i, name in enumerate(names)},
+        resize_marks=dict.fromkeys(names, MAY_RESIZE) if all_heap else {},
+        stats=ReductionStats(
+            original_variable_count=len(names),
+            group_count=len(groups),
+            color_count=len(names),
+        ),
     )
     return GCTDResult(
         graph=graph, plan=plan, interference_stats=InterferenceStats()

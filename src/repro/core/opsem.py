@@ -44,7 +44,6 @@ from repro.typing.infer import TypeEnvironment
 from repro.typing.shape import ConstDim
 
 from repro.core.interference import InterferenceGraph, InterferenceStats
-from repro.core.optionset import OptionSet
 
 #: builtins whose result may alias an array argument (identity element
 #: mapping, computed position-by-position).
@@ -108,7 +107,7 @@ LAYOUT_SAFE_BUILTINS = frozenset({"reshape"})
 
 
 @dataclass(slots=True)
-class OpsemConfig(OptionSet):
+class OpsemConfig:
     """Ablation switches for the §2.3 rules."""
 
     use_type_info: bool = True  # resolve conflicts with inferred types

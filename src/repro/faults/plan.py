@@ -82,6 +82,25 @@ class FaultPlanError(ValueError):
     """A fault-plan document failed validation."""
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _typed(payload: dict, key: str, kind: type, default):
+    """``payload[key]`` (or ``default``) if it is a JSON ``kind``.
+
+    Nothing is coerced: ``"0.5"`` is not a number, ``2.9`` is not an
+    integer and ``true`` is neither.  A ``float`` field takes a JSON
+    integer too (``"rate": 1``).
+    """
+    value = payload.get(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise FaultPlanError(
+            f"'{key}' must be {_TYPE_NAMES[kind]}, got {value!r}"
+        )
+    return kind(value)
+
+
 @dataclass(frozen=True, slots=True)
 class FaultRule:
     """One scheduled failure mode at one site."""
@@ -131,12 +150,19 @@ class FaultRule:
         }
         if unknown:
             raise FaultPlanError(f"unknown rule keys: {sorted(unknown)}")
+        site = _typed(payload, "site", str, "")
+        if site not in ALL_SITES:
+            # Rules built in code may name ad-hoc sites; a plan file
+            # may not, or a misspelt site would load and never fire.
+            raise FaultPlanError(
+                f"unknown fault site {site!r} (expected one of {ALL_SITES})"
+            )
         rule = cls(
-            site=str(payload.get("site", "")),
-            kind=str(payload.get("kind", "")),
-            rate=float(payload.get("rate", 1.0)),
-            max_fires=int(payload.get("max_fires", 0)),
-            delay_seconds=float(payload.get("delay_seconds", 0.05)),
+            site=site,
+            kind=_typed(payload, "kind", str, ""),
+            rate=_typed(payload, "rate", float, 1.0),
+            max_fires=_typed(payload, "max_fires", int, 0),
+            delay_seconds=_typed(payload, "delay_seconds", float, 0.05),
         )
         rule.validate()
         return rule
@@ -177,9 +203,9 @@ class FaultPlan:
         if not isinstance(raw_rules, list):
             raise FaultPlanError("'rules' must be a list")
         plan = cls(
-            seed=int(payload.get("seed", 0)),
+            seed=_typed(payload, "seed", int, 0),
             rules=tuple(FaultRule.from_dict(r) for r in raw_rules),
-            name=str(payload.get("name", "")),
+            name=_typed(payload, "name", str, ""),
         )
         plan.validate()
         return plan

@@ -161,11 +161,6 @@ class Lowerer:
         """Map a source name to its IR name in the current scope."""
         return self._scope.rename.get(name, name)
 
-    def _start_block(self) -> Block:
-        block = self._ir.new_block()
-        self._current = block
-        return block
-
     def _goto(self, block: Block) -> None:
         if self._current.terminator is None:
             self._current.terminator = Jump(block.id)

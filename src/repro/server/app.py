@@ -227,12 +227,9 @@ class CompileServer:
     def _fingerprint(self, request) -> str:
         from repro.service.fingerprint import fingerprint_request
 
-        digest = (
-            self.cache.fingerprint
-            if self.cache is not None
-            else fingerprint_request
+        return fingerprint_request(
+            request.sources, request.entry, request.options
         )
-        return digest(request.sources, request.entry, request.options)
 
     def _compile(self, request):
         """The one compile body: pipeline call plus its metrics.

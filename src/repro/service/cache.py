@@ -15,7 +15,7 @@ Writes are atomic: each entry is materialized in a temporary sibling
 directory and ``os.rename``\\ d into place, so concurrent writers of
 the same fingerprint race benignly (one rename wins, the content is
 identical by construction).  A small in-process LRU keeps hot results
-unpickled.
+unpickled: it maps a fingerprint straight to its ``CompilationResult``.
 
 An entry holds only what a load reads back: the report and the C
 translation are derived from the plan on demand.  Entries written
@@ -29,8 +29,9 @@ unpickle — **quarantines** the entry: it is moved aside into
 on :attr:`CacheStats.quarantined`, reported through the
 ``on_quarantine`` hook, and the caller's recompile-and-store
 transparently re-derives a clean entry.  Metadata-level problems
-(missing/unreadable meta, pipeline version skew) are ordinary
-repairable misses, removed in place; a change to what the plan pickles
+(missing/unreadable meta, pipeline version skew, no recorded plan
+checksum) are ordinary repairable misses, removed in place: a plan is
+never served without its checksum; a change to what the plan pickles
 bumps :data:`~repro.compiler.pipeline.PIPELINE_VERSION`, so older
 entries miss instead of failing to load as corrupt.  A store that
 fails with ``OSError`` (e.g. ``ENOSPC``) degrades to memory-only: the
@@ -54,7 +55,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.compiler.pipeline import PIPELINE_VERSION
@@ -75,28 +76,9 @@ class CacheStats:
     misses: int = 0
     memory_hits: int = 0
     stores: int = 0
-    invalidations: int = 0
     repairs: int = 0
     quarantined: int = 0
     write_errors: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_hits": self.memory_hits,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "repairs": self.repairs,
-            "quarantined": self.quarantined,
-            "write_errors": self.write_errors,
-        }
-
-
-@dataclass(slots=True)
-class _Entry:
-    result: object
-    meta: dict = field(default_factory=dict)
 
 
 class _CorruptEntry(ValueError):
@@ -126,7 +108,7 @@ class ArtifactCache:
         self.injector = injector
         #: optional callback ``fn(fingerprint)`` on each quarantine.
         self.on_quarantine = on_quarantine
-        self._memory: OrderedDict[str, _Entry] = OrderedDict()
+        self._memory: OrderedDict[str, object] = OrderedDict()
         # The server's worker threads share one cache; the in-process
         # LRU (ordered-dict reordering + eviction) needs a lock.  Disk
         # writes stay lock-free — they are atomic renames by design.
@@ -178,12 +160,12 @@ class ArtifactCache:
         re-derives a clean entry.
         """
         with self._lock:
-            entry = self._memory.get(fingerprint)
-            if entry is not None:
+            result = self._memory.get(fingerprint)
+            if result is not None:
                 self._memory.move_to_end(fingerprint)
                 self.stats.hits += 1
                 self.stats.memory_hits += 1
-                return entry.result
+                return result
         directory = self.object_dir(fingerprint)
         plan_path = directory / _PLAN
         meta_path = directory / _META
@@ -194,17 +176,20 @@ class ArtifactCache:
             meta = json.loads(meta_path.read_text())
             if meta.get("pipeline_version") != self.pipeline_version:
                 raise ValueError("pipeline version mismatch")
+            checksum = meta["checksums"][_PLAN]
         except Exception:
-            # Unreadable/absent meta or version skew: not corruption,
-            # just staleness — drop the entry so the caller's
-            # recompile-and-store repairs it.
+            # Unreadable/absent meta, version skew or no plan checksum:
+            # not corruption, but nothing to vouch for the plan either —
+            # drop the entry so the caller's recompile-and-store
+            # repairs it.
             self._remove_entry(directory)
             self.stats.repairs += 1
             self.stats.misses += 1
             return None
         try:
             plan_bytes = plan_path.read_bytes()
-            self._verify_checksum(meta, plan_bytes)
+            if hashlib.sha256(plan_bytes).hexdigest() != checksum:
+                raise _CorruptEntry(f"checksum mismatch on {_PLAN}")
             result = pickle.loads(plan_bytes)
         except Exception:
             # Payload-level corruption (torn write, flipped bytes,
@@ -214,21 +199,8 @@ class ArtifactCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._remember(fingerprint, _Entry(result=result, meta=meta))
+        self._remember(fingerprint, result)
         return result
-
-    @staticmethod
-    def _verify_checksum(meta: dict, plan_bytes: bytes) -> None:
-        """Check the recorded plan digest; raises on mismatch.
-
-        Entries written before checksums existed (no ``checksums`` in
-        meta) still load — their plan is vetted by the unpickle itself.
-        """
-        checksums = meta.get("checksums")
-        if not isinstance(checksums, dict) or _PLAN not in checksums:
-            return
-        if hashlib.sha256(plan_bytes).hexdigest() != checksums[_PLAN]:
-            raise _CorruptEntry(f"checksum mismatch on {_PLAN}")
 
     def store(self, fingerprint: str, result, meta: dict | None = None):
         """Atomically write an entry (plan + meta).
@@ -275,9 +247,7 @@ class ArtifactCache:
                 if tmp.exists():
                     shutil.rmtree(tmp, ignore_errors=True)
         self.stats.stores += 1
-        self._remember(
-            fingerprint, _Entry(result=result, meta=full_meta)
-        )
+        self._remember(fingerprint, result)
         return directory
 
     def _faulty(self, data: bytes) -> bytes:
@@ -286,33 +256,7 @@ class ArtifactCache:
             return data
         return self.injector.mangle(_WRITE_SITE, data)
 
-    # -- invalidation and quarantine -------------------------------------
-
-    def invalidate(self, fingerprint: str) -> bool:
-        """Drop one entry (memory + disk); True if anything was removed."""
-        with self._lock:
-            removed = self._memory.pop(fingerprint, None) is not None
-        directory = self.object_dir(fingerprint)
-        if directory.exists():
-            self._remove_entry(directory)
-            removed = True
-        if removed:
-            self.stats.invalidations += 1
-        return removed
-
-    def clear(self) -> int:
-        """Drop every entry; returns the number of disk entries removed."""
-        with self._lock:
-            self._memory.clear()
-        objects = self.root / "objects"
-        count = 0
-        if objects.is_dir():
-            for child in objects.iterdir():
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
-                    count += 1
-        self.stats.invalidations += count
-        return count
+    # -- listing and quarantine ------------------------------------------
 
     def entries(self) -> list[str]:
         """Fingerprints currently on disk."""
@@ -365,9 +309,9 @@ class ArtifactCache:
 
     # -- internals -------------------------------------------------------
 
-    def _remember(self, fingerprint: str, entry: _Entry) -> None:
+    def _remember(self, fingerprint: str, result) -> None:
         with self._lock:
-            self._memory[fingerprint] = entry
+            self._memory[fingerprint] = result
             self._memory.move_to_end(fingerprint)
             while len(self._memory) > self.max_memory_entries:
                 self._memory.popitem(last=False)

@@ -1,6 +1,6 @@
 """Tests for the typed API facade (:mod:`repro.api`).
 
-Three layers: the options round-trip (property-based), the wire
+Three layers: the options' canonical form (property-based), the wire
 types against committed golden fixtures (so the `/v1` format cannot
 drift silently), and the server's error envelope on every refusal
 path (429/500/504 via the ``compile_impl`` seam)."""
@@ -8,7 +8,7 @@ path (429/500/504 via the ``compile_impl`` seam)."""
 import json
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,6 @@ from repro.api import (
     CompileResponse,
     CompileStats,
     ErrorEnvelope,
-    UnknownOptionError,
     code_for_status,
     options_from_wire,
     options_to_wire,
@@ -42,7 +41,7 @@ def fixture(name: str) -> dict:
 
 
 # --------------------------------------------------------------------------
-# options round-trip
+# options canonical form
 # --------------------------------------------------------------------------
 
 
@@ -70,48 +69,9 @@ def option_sets():
     )
 
 
-class TestOptionSetRoundTrip:
-    @given(option_sets())
-    def test_to_dict_from_dict_round_trips(self, options):
-        rebuilt = CompilerOptions.from_dict(options.to_dict())
-        assert rebuilt == options
-        assert rebuilt.to_dict() == options.to_dict()
-
-    @given(option_sets())
-    def test_to_dict_keys_sorted_recursively(self, options):
-        def check(d):
-            assert list(d) == sorted(d)
-            for value in d.values():
-                if isinstance(value, dict):
-                    check(value)
-
-        check(options.to_dict())
-
-    def test_from_dict_defaults(self):
-        assert CompilerOptions.from_dict(None) == CompilerOptions()
-        assert CompilerOptions.from_dict({}) == CompilerOptions()
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(UnknownOptionError) as exc:
-            CompilerOptions.from_dict({"frobnicate": True})
-        assert "frobnicate" in str(exc.value)
-
-    def test_from_dict_rejects_nested_unknown_keys(self):
-        with pytest.raises(UnknownOptionError):
-            CompilerOptions.from_dict({"gctd": {"bogus": 1}})
-
-    def test_nested_rebuild(self):
-        options = CompilerOptions.from_dict(
-            {"gctd": {"enabled": False, "opsem": {"enabled": False}}}
-        )
-        assert isinstance(options.gctd, GCTDOptions)
-        assert isinstance(options.gctd.opsem, OpsemConfig)
-        assert not options.gctd.enabled
-        assert not options.gctd.opsem.enabled
-
-    @given(option_sets())
-    def test_canonical_options_consumes_to_dict(self, options):
-        assert canonical_options(options) == options.to_dict()
+@given(option_sets())
+def test_canonical_options_is_asdict(options):
+    assert canonical_options(options) == asdict(options)
 
 
 # --------------------------------------------------------------------------

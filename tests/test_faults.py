@@ -273,7 +273,7 @@ class TestCacheHardening:
         assert not cache.object_dir(fingerprint).exists()
         assert cache.load(fingerprint) is result
 
-    def test_old_entry_without_checksums_still_loads(self, tmp_path):
+    def test_entry_without_checksum_is_repaired(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         _, fingerprint = self._store_one(cache)
         meta_path = cache.object_dir(fingerprint) / "meta.json"
@@ -281,8 +281,19 @@ class TestCacheHardening:
         del meta["checksums"]
         meta_path.write_text(json.dumps(meta))
         fresh = ArtifactCache(tmp_path / "cache")
-        assert fresh.load(fingerprint) is not None
+        # nothing vouches for the plan: a repairable miss, not corruption
+        assert fresh.load(fingerprint) is None
+        assert fresh.stats.misses == 1 and fresh.stats.repairs == 1
         assert fresh.stats.quarantined == 0
+        assert fresh.quarantined_entries() == []
+        assert not fresh.object_dir(fingerprint).exists()
+        # the recompile stores a clean, checksummed entry
+        compile_program(SOURCES, cache=fresh)
+        meta = json.loads(meta_path.read_text())
+        assert set(meta["checksums"]) == {"plan"}
+        again = ArtifactCache(tmp_path / "cache")
+        assert again.load(fingerprint) is not None
+        assert again.stats.hits == 1 and again.stats.repairs == 0
 
 
 # --------------------------------------------------------------------------

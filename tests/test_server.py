@@ -9,6 +9,8 @@ the end-to-end compile paths use the real pipeline on small programs.
 
 import asyncio
 import functools
+import json
+import re
 import sys
 import threading
 import time
@@ -26,6 +28,7 @@ from repro.faults import (
     FaultPlan,
     FaultPlanError,
     FaultRule,
+    load_fault_plan,
 )
 from repro.server import (
     CompileServer,
@@ -893,6 +896,37 @@ class TestServeCli:
         config = make_config(tmp_path, fault_plan_path=str(plan))
         with pytest.raises(FaultPlanError):
             CompileServer(config)
+
+    @pytest.mark.parametrize(
+        "plan, culprit",
+        [
+            ({"rules": [{"site": 5, "kind": "crash"}]}, "'site'"),
+            ({"rules": [{"site": "cache.wrte", "kind": "crash"}]},
+             "'cache.wrte'"),
+            ({"rules": [{"site": "gctd.run", "kind": 1}]}, "'kind'"),
+            ({"rules": [{"site": "gctd.run", "kind": "crash",
+                         "rate": "0.5"}]}, "'rate'"),
+            ({"rules": [{"site": "gctd.run", "kind": "crash",
+                         "rate": True}]}, "'rate'"),
+            ({"rules": [{"site": "gctd.run", "kind": "crash",
+                         "max_fires": 2.9}]}, "'max_fires'"),
+            ({"rules": [{"site": "gctd.run", "kind": "hang",
+                         "delay_seconds": "0.1"}]}, "'delay_seconds'"),
+            ({"seed": True, "rules": []}, "'seed'"),
+            ({"name": 3, "rules": []}, "'name'"),
+        ],
+    )
+    def test_mistyped_fault_plan_is_refused(
+        self, tmp_path, served, monkeypatch, capsys, plan, culprit
+    ):
+        monkeypatch.setenv(ENABLE_FAULTS_ENV, "1")
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        with pytest.raises(FaultPlanError, match=re.escape(culprit)):
+            load_fault_plan(path)
+        assert main(["serve", "--fault-plan", str(path)]) == 1
+        assert culprit in capsys.readouterr().err
+        assert served == []
 
     def test_serve_reads_the_fault_plan_once(self, monkeypatch):
         import repro.server.app as app
