@@ -13,6 +13,11 @@ Availability feeds two parts of GCTD:
   "u is available at the definition of v" — and the paper relies on the
   relation being reflexive and transitive, which a path-based
   formulation gives for free.
+
+Each name is a bit; ``avail_in``/``avail_out`` hold one mask per block.
+On SSA every name has one definition, at a ``(block, position)``, so
+what is available at it is the block's ``avail_in`` plus what the block
+defines before that position: no per-definition copy is kept.
 """
 
 from __future__ import annotations
@@ -24,45 +29,67 @@ from repro.ir.cfg import IRFunction
 
 @dataclass(slots=True)
 class AvailabilityInfo:
-    avail_in: dict[int, set[str]]
-    avail_out: dict[int, set[str]]
-    # variable → availability set just before its (unique, SSA) definition
-    at_def: dict[str, set[str]]
+    #: name → its bit in the masks
+    bit: dict[str, int]
+    avail_in: dict[int, int]
+    avail_out: dict[int, int]
+    #: defined name → (block, position in the block) of its definition
+    def_site: dict[str, tuple[int, int]]
 
     def available_at_definition_of(self, u: str, v: str) -> bool:
         """True if ``u`` is available at the definition of ``v``.
 
         Reflexive by the paper's convention (a definition is trivially
-        available at itself).
+        available at itself).  Nothing else is available at a
+        parameter's (implicit) definition.
         """
         if u == v:
             return True
-        return u in self.at_def.get(v, ())
+        site = self.def_site.get(v)
+        bit = self.bit.get(u)
+        if site is None or bit is None:
+            return False
+        block, position = site
+        if self.avail_in[block] >> bit & 1:
+            return True
+        u_site = self.def_site.get(u)
+        return u_site is not None and u_site[0] == block and u_site[1] < position
+
+    def available_at_end(self, bid: int, names) -> set[str]:
+        """The members of ``names`` available at the end of block ``bid``."""
+        mask, bit = self.avail_out[bid], self.bit
+        return {n for n in names if n in bit and mask >> bit[n] & 1}
 
 
 def compute_availability(func: IRFunction) -> AvailabilityInfo:
     order = func.block_order()
     preds = func.predecessors()
 
-    gen: dict[int, set[str]] = {}
-    for bid in order:
-        gen[bid] = {
-            res for instr in func.blocks[bid].instrs for res in instr.results
-        }
-
-    avail_in: dict[int, set[str]] = {bid: set() for bid in order}
-    avail_out: dict[int, set[str]] = {bid: set() for bid in order}
-    for bid in order:
-        avail_out[bid] = set(gen[bid])
+    bit: dict[str, int] = {}
+    params = 0
     for param in func.params:
-        avail_in[func.entry].add(param)
-        avail_out[func.entry].add(param)
+        params |= 1 << bit.setdefault(param, len(bit))
+    def_site: dict[str, tuple[int, int]] = {}
+    gen: dict[int, int] = {}
+    for bid in order:
+        mask = 0
+        for position, instr in enumerate(func.blocks[bid].instrs):
+            for res in instr.results:
+                mask |= 1 << bit.setdefault(res, len(bit))
+                # keep the first (SSA: only) definition
+                def_site.setdefault(res, (bid, position))
+        gen[bid] = mask
+
+    avail_in = {bid: 0 for bid in order}
+    avail_out = dict(gen)
+    avail_in[func.entry] |= params
+    avail_out[func.entry] |= params
 
     changed = True
     while changed:
         changed = False
         for bid in order:
-            new_in: set[str] = set(avail_in[bid]) if bid == func.entry else set()
+            new_in = avail_in[bid] if bid == func.entry else 0
             for p in preds[bid]:
                 if p in avail_out:
                     new_in |= avail_out[p]
@@ -72,21 +99,6 @@ def compute_availability(func: IRFunction) -> AvailabilityInfo:
                 avail_out[bid] = new_out
                 changed = True
 
-    at_def: dict[str, set[str]] = {}
-    for bid in order:
-        current = set(avail_in[bid])
-        for instr in func.blocks[bid].instrs:
-            if instr.results:
-                before = set(current)
-                for res in instr.results:
-                    # keep the first (SSA: only) definition's view
-                    at_def.setdefault(res, before)
-                current.update(instr.results)
-    for param in func.params:
-        at_def.setdefault(param, set())
-
     return AvailabilityInfo(
-        avail_in=avail_in,
-        avail_out=avail_out,
-        at_def=at_def,
+        bit=bit, avail_in=avail_in, avail_out=avail_out, def_site=def_site
     )

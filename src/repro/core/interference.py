@@ -134,7 +134,7 @@ def build_interference_graph(
     for bid in func.block_order():
         block = func.blocks[bid]
         # live ∧ available at block end
-        current = set(live.live_out[bid]) & set(avail.avail_out[bid])
+        current = avail.available_at_end(bid, live.live_out[bid])
 
         # SSA inversion will materialize each successor's φs as a
         # *parallel copy* at this block's end.  A φ-destination is

@@ -10,10 +10,14 @@ benchmark programs:
 * ``...`` continues a logical line onto the next physical line;
 * newlines are significant (they terminate statements), so they are
   emitted as ``NEWLINE`` tokens rather than skipped.
+
+Scanning matches one compiled pattern per token; a token's line and
+column come from the offset of the last newline before it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -103,184 +107,87 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+#: every token class, in the order the scanner prefers them.  ``\w``
+#: is ``str.isalnum()`` plus ``_`` and ``\d`` is ``str.isdecimal()``.
+#: A number's dot is its own unless an operator follows (``2.*x`` is
+#: 2 .* x); an exponent needs a digit (``1e`` is 1 then e).
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<comment>%[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<continuation>\.\.\.[^\n]*\n?)"
+    r"|(?P<number>(?=\.?\d)\d*(?:\.(?![*/\\^'])\d*)?(?:[eE][+-]?\d+)?[ij]?)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<quote>')"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in _OPERATORS) + ")"
+)
+
+#: a string literal from its opening quote; ``''`` inside is a quote,
+#: so the closing quote is one no quote follows
+_STRING = re.compile(r"'((?:[^'\n]|'')*)'(?!')")
+
+#: tokens after which ``'`` is transpose rather than a string
+_VALUE_OPS = frozenset({")", "]", "}", "'", ".'"})
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class Lexer:
-    """Single-pass scanner producing a list of :class:`Token`."""
-
-    def __init__(self, text: str, filename: str = "<source>"):
-        self._text = text
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-        self._tokens: list[Token] = []
-
-    def tokenize(self) -> list[Token]:
-        while self._pos < len(self._text):
-            ch = self._text[self._pos]
-            if ch in " \t\r":
-                self._advance()
-            elif ch == "%":
-                self._skip_comment()
-            elif ch == "\n":
-                self._emit_newline()
-            elif self._match_continuation():
-                continue
-            elif ch.isdigit() or (ch == "." and self._peek_digit()):
-                self._lex_number()
-            elif _is_ident_start(ch):
-                self._lex_ident()
-            elif ch == "'" and not self._quote_is_transpose():
-                self._lex_string()
-            else:
-                self._lex_operator()
-        self._tokens.append(
-            Token(TokenKind.EOF, "", self._location())
-        )
-        return self._tokens
-
-    # ------------------------------------------------------------------
-
-    def _location(self) -> Location:
-        return Location(self._line, self._col, self._filename)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._pos < len(self._text) and self._text[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _peek_digit(self) -> bool:
-        nxt = self._pos + 1
-        return nxt < len(self._text) and self._text[nxt].isdigit()
-
-    def _skip_comment(self) -> None:
-        while self._pos < len(self._text) and self._text[self._pos] != "\n":
-            self._advance()
-
-    def _emit_newline(self) -> None:
-        # Collapse runs of newlines into a single NEWLINE token.
-        loc = self._location()
-        self._advance()
-        if not self._tokens or self._tokens[-1].kind is not TokenKind.NEWLINE:
-            self._tokens.append(Token(TokenKind.NEWLINE, "\n", loc))
-
-    def _match_continuation(self) -> bool:
-        if self._text.startswith("...", self._pos):
-            # Skip the ellipsis and everything up to and including the
-            # next newline; the logical line continues.
-            while self._pos < len(self._text) and self._text[self._pos] != "\n":
-                self._advance()
-            if self._pos < len(self._text):
-                self._advance()  # consume the newline itself
-            return True
+def _quote_is_transpose(previous: Token | None) -> bool:
+    if previous is None:
         return False
-
-    def _lex_number(self) -> None:
-        loc = self._location()
-        start = self._pos
-        while self._pos < len(self._text) and self._text[self._pos].isdigit():
-            self._advance()
-        if self._pos < len(self._text) and self._text[self._pos] == ".":
-            # Don't swallow the dot of elementwise ops like `2.*x`... a dot
-            # followed by an operator char belongs to the operator.
-            nxt = self._text[self._pos + 1 : self._pos + 2]
-            if nxt.isdigit() or nxt in ("e", "E") or not self._op_follows_dot():
-                self._advance()
-                while (
-                    self._pos < len(self._text)
-                    and self._text[self._pos].isdigit()
-                ):
-                    self._advance()
-        if self._pos < len(self._text) and self._text[self._pos] in "eE":
-            save = self._pos
-            self._advance()
-            if self._pos < len(self._text) and self._text[self._pos] in "+-":
-                self._advance()
-            if self._pos < len(self._text) and self._text[self._pos].isdigit():
-                while (
-                    self._pos < len(self._text)
-                    and self._text[self._pos].isdigit()
-                ):
-                    self._advance()
-            else:
-                self._pos = save  # not an exponent after all
-        if self._pos < len(self._text) and self._text[self._pos] in "ij":
-            self._advance()  # imaginary literal suffix
-        self._tokens.append(
-            Token(TokenKind.NUMBER, self._text[start : self._pos], loc)
-        )
-
-    def _op_follows_dot(self) -> bool:
-        nxt = self._text[self._pos + 1 : self._pos + 2]
-        return nxt in ("*", "/", "\\", "^", "'")
-
-    def _lex_ident(self) -> None:
-        loc = self._location()
-        start = self._pos
-        while self._pos < len(self._text) and _is_ident_char(
-            self._text[self._pos]
-        ):
-            self._advance()
-        name = self._text[start : self._pos]
-        kind = TokenKind.KEYWORD if name in KEYWORDS else TokenKind.IDENT
-        self._tokens.append(Token(kind, name, loc))
-
-    def _quote_is_transpose(self) -> bool:
-        """Decide whether a ``'`` at the current position is transpose."""
-        for tok in reversed(self._tokens):
-            if tok.kind is TokenKind.NEWLINE:
-                return False
-            if tok.kind in (TokenKind.IDENT, TokenKind.NUMBER):
-                return True
-            if tok.kind is TokenKind.KEYWORD:
-                return tok.text == "end"
-            if tok.kind is TokenKind.OP:
-                return tok.text in (")", "]", "}", "'", ".'")
-            return False
-        return False
-
-    def _lex_string(self) -> None:
-        loc = self._location()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self._pos >= len(self._text) or self._text[self._pos] == "\n":
-                raise MatlabSyntaxError("unterminated string literal", loc)
-            ch = self._text[self._pos]
-            if ch == "'":
-                if self._text[self._pos + 1 : self._pos + 2] == "'":
-                    chars.append("'")  # doubled quote escapes itself
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            chars.append(ch)
-            self._advance()
-        self._tokens.append(Token(TokenKind.STRING, "".join(chars), loc))
-
-    def _lex_operator(self) -> None:
-        loc = self._location()
-        for op in _OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                self._tokens.append(Token(TokenKind.OP, op, loc))
-                return
-        raise MatlabSyntaxError(
-            f"unexpected character {self._text[self._pos]!r}", loc
-        )
+    kind = previous.kind
+    if kind is TokenKind.IDENT or kind is TokenKind.NUMBER:
+        return True
+    if kind is TokenKind.KEYWORD:
+        return previous.text == "end"
+    if kind is TokenKind.OP:
+        return previous.text in _VALUE_OPS
+    return False
 
 
 def tokenize(text: str, filename: str = "<source>") -> list[Token]:
     """Tokenize MATLAB source, returning a token list ending in EOF."""
-    return Lexer(text, filename).tokenize()
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    pos, end = 0, len(text)
+    line, line_start = 1, 0  # line_start: offset of the line's first char
+    while pos < end:
+        m = match(text, pos)
+        kind = m.lastgroup if m is not None else None
+        if kind == "space" or kind == "comment":
+            pos = m.end()
+            continue
+        loc = Location(line, pos - line_start + 1, filename)
+        if kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            kind = None  # '½' and the like are numeric, not letters
+        if kind is None:
+            raise MatlabSyntaxError(f"unexpected character {text[pos]!r}", loc)
+        if kind == "ident":
+            name = m.group()
+            kind = TokenKind.KEYWORD if name in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, name, loc))
+        elif kind == "number":
+            append(Token(TokenKind.NUMBER, m.group(), loc))
+        elif kind == "op":
+            append(Token(TokenKind.OP, m.group(), loc))
+        elif kind == "newline":
+            # Collapse runs of newlines into a single NEWLINE token.
+            if not tokens or tokens[-1].kind is not TokenKind.NEWLINE:
+                append(Token(TokenKind.NEWLINE, "\n", loc))
+            line, line_start = line + 1, m.end()
+        elif kind == "continuation":
+            # The rest of the line is skipped; the logical line goes on.
+            if m.group().endswith("\n"):
+                line, line_start = line + 1, m.end()
+        elif kind == "quote":
+            if _quote_is_transpose(tokens[-1] if tokens else None):
+                append(Token(TokenKind.OP, "'", loc))
+            else:
+                m = _STRING.match(text, pos)
+                if m is None:
+                    raise MatlabSyntaxError("unterminated string literal", loc)
+                append(
+                    Token(TokenKind.STRING, m.group(1).replace("''", "'"), loc)
+                )
+        pos = m.end()
+    append(Token(TokenKind.EOF, "", Location(line, pos - line_start + 1, filename)))
+    return tokens

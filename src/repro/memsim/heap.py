@@ -8,7 +8,9 @@ Resident-set accounting marks pages on first touch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 PAGE_SIZE = 8192
 _ALIGN = 8
@@ -78,18 +80,20 @@ class HeapModel:
         return new_addr, len(self.touched_pages) - before
 
     def _insert_free(self, block: _FreeBlock) -> None:
-        # keep sorted by address and merge adjacent blocks
-        self.free_list.append(block)
-        self.free_list.sort(key=lambda b: b.addr)
-        merged: list[_FreeBlock] = []
-        for b in self.free_list:
-            if merged and merged[-1].addr + merged[-1].size == b.addr:
-                merged[-1] = _FreeBlock(
-                    merged[-1].addr, merged[-1].size + b.size
-                )
-            else:
-                merged.append(b)
-        self.free_list = merged
+        """Insert by address, merging with the neighbours it touches.
+
+        The list is kept sorted and merged, so only the neighbours of
+        the new block can be adjacent to it.
+        """
+        free = self.free_list
+        i = bisect_left(free, block.addr, key=attrgetter("addr"))
+        if i < len(free) and block.addr + block.size == free[i].addr:
+            block = _FreeBlock(block.addr, block.size + free.pop(i).size)
+        prev = free[i - 1] if i > 0 else None
+        if prev is not None and prev.addr + prev.size == block.addr:
+            free[i - 1] = _FreeBlock(prev.addr, prev.size + block.size)
+        else:
+            free.insert(i, block)
 
     def _touch(self, addr: int, size: int) -> int:
         first = addr // PAGE_SIZE

@@ -6,7 +6,9 @@ Layout (default root ``.repro-cache/``)::
         plan        pickled CompilationResult: AST, SSA and executable
                     IR (shared instructions pickled once), type env,
                     GCTD graph, allocation plan, interference stats
-        meta.json   fingerprint, pipeline version, plan checksum
+        meta.json   fingerprint, pipeline version, creation time and
+                    plan checksum (older entries may carry more keys;
+                    a load reads only the version and the checksum)
     quarantine/<fingerprint>-<n>/   corrupted entries, kept for autopsy
     bin/<key>/program       compiled binaries, keyed by
                             repro.backend.cc.binary_cache_key
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.compiler.pipeline import PIPELINE_VERSION
-from repro.service.fingerprint import canonical_options, fingerprint_request
+from repro.service.fingerprint import fingerprint_request
 
 DEFAULT_CACHE_ROOT = ".repro-cache"
 
@@ -139,12 +141,7 @@ class ArtifactCache:
 
     def put_program(self, sources, entry, options, result, tracer=None):
         fp = self.fingerprint(sources, entry, options)
-        meta = {
-            "entry": entry,
-            "options": canonical_options(options),
-            "source_files": sorted(sources),
-        }
-        self.store(fp, result, meta)
+        self.store(fp, result)
         if tracer is not None:
             tracer.event("cache_store", fingerprint=fp)
         return fp
@@ -202,7 +199,7 @@ class ArtifactCache:
         self._remember(fingerprint, result)
         return result
 
-    def store(self, fingerprint: str, result, meta: dict | None = None):
+    def store(self, fingerprint: str, result):
         """Atomically write an entry (plan + meta).
 
         The meta records the plan's SHA-256, computed *before* the
@@ -217,7 +214,6 @@ class ArtifactCache:
             "pipeline_version": self.pipeline_version,
             "created": time.time(),
             "checksums": {_PLAN: hashlib.sha256(plan_bytes).hexdigest()},
-            **(meta or {}),
         }
         try:
             directory.parent.mkdir(parents=True, exist_ok=True)

@@ -117,26 +117,67 @@ class TypeEnvironment:
         return name in self.types
 
 
+class _ReadRecorder(TypeEnvironment):
+    """The environment as a transfer sees it, noting each name read.
+
+    It shares the engine's ``types`` dict; the engine returns the plain
+    :class:`TypeEnvironment`, so none of this is pickled.
+    """
+
+    __slots__ = ("reads",)
+
+    def of(self, name: str) -> VarType:
+        self.reads.append(name)
+        return TypeEnvironment.of(self, name)
+
+    def __contains__(self, name: str) -> bool:
+        self.reads.append(name)
+        return name in self.types
+
+
 class TypeInference:
+    """Round-robin fixpoint over ``block_order()``, transferring only
+    what may have changed.
+
+    A transfer whose reads are unchanged yields the same types (its
+    fresh dims are memoized), so its ``_update`` is a no-op unless the
+    result it joins into moved.  An instruction is therefore transferred
+    again only when a name one of its transfers read, or one of its own
+    results, changed since its last transfer: the same changes in the
+    same order as transferring everything every pass.
+    """
+
     def __init__(self, func: IRFunction, fresh: FreshDims | None = None):
         self._func = func
         self._env = TypeEnvironment()
+        #: what the per-op rules read through
+        self._view = _ReadRecorder(self._env.types)
         self._change_counts: dict[str, int] = {}
         #: the compile's fresh-dimension source, and this run's memo of
         #: the dims each transfer function drew (see FreshDims.memo)
         self._fresh = fresh if fresh is not None else FreshDims()
         self._fresh_memo: dict = {}
+        #: the instructions in pass order, and which must be transferred
+        self._instrs = [
+            instr
+            for bid in func.block_order()
+            for instr in func.blocks[bid].instrs
+        ]
+        self._dirty = [True] * len(self._instrs)
+        #: name → positions of the instructions whose transfers read it
+        self._readers: dict[str, set[int]] = {}
 
     def run(self) -> TypeEnvironment:
         with self._fresh.active():
             for param in self._func.params:
                 self._env.types[param] = VarType.unknown()
-            order = self._func.block_order()
+            dirty = self._dirty
             for _ in range(_MAX_PASSES):
                 changed = False
-                for bid in order:
-                    for instr in self._func.blocks[bid].instrs:
-                        if self._transfer(instr):
+                for index, instr in enumerate(self._instrs):
+                    if dirty[index]:
+                        dirty[index] = False
+                        if self._transfer(index, instr):
                             changed = True
                 if not changed:
                     break
@@ -176,20 +217,29 @@ class TypeInference:
                 shape = Shape.unknown()
         return VarType(new.intrinsic, shape, widened_range)
 
-    def _transfer(self, instr: Instr) -> bool:
+    def _transfer(self, index: int, instr: Instr) -> bool:
+        reads = self._view.reads = []
         with self._fresh.memo(self._fresh_memo, id(instr)):
             results = self._infer_instr(instr)
+        for name in reads:
+            self._readers.setdefault(name, set()).add(index)
+        dirty = self._dirty
         changed = False
         for name, vartype in zip(instr.results, results):
             if self._update(name, vartype):
                 changed = True
+                for reader in self._readers.get(name, ()):
+                    dirty[reader] = True
+        if changed:
+            # _update joins into (and may widen) the old value
+            dirty[index] = True
         return changed
 
     # -- per-op inference ----------------------------------------------
 
     def _infer_instr(self, instr: Instr) -> list[VarType]:
         op = instr.op
-        env = self._env
+        env = self._view
         if not instr.results:
             return []
         if op == "phi":
@@ -252,7 +302,7 @@ class TypeInference:
         return [VarType.unknown() for _ in instr.results]
 
     def _elementwise_binary(self, instr: Instr) -> VarType:
-        env = self._env
+        env = self._view
         a = env.of_operand(instr.args[0])
         b = env.of_operand(instr.args[1])
         shape = elementwise_shape(a, b)
@@ -312,7 +362,7 @@ class TypeInference:
         raise AssertionError(op)
 
     def _matrix_binary(self, instr: Instr) -> VarType:
-        env = self._env
+        env = self._view
         a = env.of_operand(instr.args[0])
         b = env.of_operand(instr.args[1])
         op = instr.op
@@ -367,7 +417,7 @@ class TypeInference:
         return VarType(intrinsic, shape, Interval.top())
 
     def _range_op(self, instr: Instr) -> VarType:
-        env = self._env
+        env = self._view
         start = env.of_operand(instr.args[0])
         step = env.of_operand(instr.args[1])
         stop = env.of_operand(instr.args[2])
@@ -433,7 +483,7 @@ class TypeInference:
     def _forindex_op(self, instr: Instr) -> VarType:
         """Loop variable of ``for v = start:step:stop``: its value stays
         within [min(start, stop), max(start, stop)]."""
-        env = self._env
+        env = self._view
         start = env.of_operand(instr.args[0])
         step = env.of_operand(instr.args[1])
         stop = env.of_operand(instr.args[2])
@@ -454,7 +504,7 @@ class TypeInference:
         )
 
     def _subsref(self, instr: Instr) -> VarType:
-        env = self._env
+        env = self._view
         base = env.of_operand(instr.args[0])
         subs = instr.args[1:]
         sub_types = [
@@ -501,7 +551,7 @@ class TypeInference:
 
     def _subsasgn(self, instr: Instr) -> VarType:
         """b = subsasgn(a, r, l1..lm): per-dim growth via max (§2.3.3)."""
-        env = self._env
+        env = self._view
         base = env.of_operand(instr.args[0])
         rhs = env.of_operand(instr.args[1])
         subs = instr.args[2:]
@@ -558,7 +608,7 @@ class TypeInference:
         if isinstance(extent, ConstDim):
             return float(extent.value)
         if isinstance(extent, ValueDim):
-            rng = self._env.of(extent.var).range
+            rng = self._view.of(extent.var).range
             if rng.lo > float("-inf"):
                 import math
 
@@ -566,7 +616,7 @@ class TypeInference:
         return None
 
     def _concat(self, instr: Instr, axis: int) -> VarType:
-        env = self._env
+        env = self._view
         parts = [env.of_operand(a) for a in instr.args]
         intrinsic = parts[0].intrinsic
         rng = parts[0].range
@@ -592,7 +642,7 @@ class TypeInference:
         return VarType(intrinsic, Shape((rows, cols), exact=exact), rng)
 
     def _call(self, instr: Instr) -> list[VarType]:
-        env = self._env
+        env = self._view
         name = instr.callee
         views = [
             ArgView(

@@ -32,12 +32,22 @@ class VerifierLiveness:
 class VerifierAvailability:
     avail_in: dict[int, set[str]] = field(default_factory=dict)
     avail_out: dict[int, set[str]] = field(default_factory=dict)
-    at_def: dict[str, set[str]] = field(default_factory=dict)
+    #: defined name → (block, index of its instruction in that block)
+    defined_at: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def available_at_definition_of(self, u: str, v: str) -> bool:
+        """``u`` reaches ``v``'s definition: it enters ``v``'s block, or
+        the block defines it first (SSA: one definition per name)."""
         if u == v:
             return True
-        return u in self.at_def.get(v, ())
+        where = self.defined_at.get(v)
+        if where is None:
+            return False  # a parameter, or not defined at all
+        bid, index = where
+        if u in self.avail_in[bid]:
+            return True
+        u_where = self.defined_at.get(u)
+        return u_where is not None and u_where[0] == bid and u_where[1] < index
 
 
 def _predecessor_map(func: IRFunction) -> dict[int, list[int]]:
@@ -117,7 +127,7 @@ def recompute_liveness(func: IRFunction) -> VerifierLiveness:
 
 
 def recompute_availability(func: IRFunction) -> VerifierAvailability:
-    """Forward-may worklist availability, plus per-definition views."""
+    """Forward-may worklist availability, plus each definition's place."""
     blocks = list(func.blocks)
     preds = _predecessor_map(func)
     gen: dict[int, set[str]] = {
@@ -152,12 +162,7 @@ def recompute_availability(func: IRFunction) -> VerifierAvailability:
                     queued.add(succ)
 
     for bid in blocks:
-        current = set(info.avail_in[bid])
-        for instr in func.blocks[bid].instrs:
-            snapshot = set(current)
+        for index, instr in enumerate(func.blocks[bid].instrs):
             for res in instr.results:
-                info.at_def.setdefault(res, snapshot)
-            current.update(instr.results)
-    for param in func.params:
-        info.at_def.setdefault(param, set())
+                info.defined_at.setdefault(res, (bid, index))
     return info

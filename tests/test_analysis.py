@@ -1,5 +1,7 @@
 """Unit tests for liveness, availability, du-chains, and cleanup passes."""
 
+import pytest
+
 from repro.analysis.availability import compute_availability
 from repro.analysis.constfold import fold_constants
 from repro.analysis.copyprop import propagate_copies
@@ -8,6 +10,7 @@ from repro.analysis.dce import eliminate_dead_code
 from repro.analysis.duchains import compute_du_chains
 from repro.analysis.liveness import compute_liveness
 from repro.analysis.pass_manager import run_cleanup_pipeline
+from repro.bench.suite import BENCHMARK_NAMES, compile_benchmark
 from repro.frontend.parser import parse_program
 from repro.ir.instr import Const, Var
 from repro.ir.lower import lower_program
@@ -99,6 +102,47 @@ class TestAvailability:
             if i.is_phi and base_name(i.results[0]) == "i"
         )
         assert avail.available_at_definition_of(x, i_phi.results[0])
+
+
+def blocks_after(func, bid):
+    """Blocks reached from ``bid`` along one CFG edge or more."""
+    seen, stack = set(), list(func.blocks[bid].successors())
+    while stack:
+        nxt = stack.pop()
+        if nxt not in seen:
+            seen.add(nxt)
+            stack.extend(func.blocks[nxt].successors())
+    return seen
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_availability_matches_path_reachability(name):
+    """u is available at v's definition iff some CFG path runs from a
+    definition of u to it; parameters are defined on entry, and nothing
+    is available at a parameter's definition but itself."""
+    func = compile_benchmark(name).ssa_func
+    avail = compute_availability(func)
+    sites = {}
+    for bid in func.block_order():
+        for position, instr in enumerate(func.blocks[bid].instrs):
+            for res in instr.results:
+                sites.setdefault(res, (bid, position))
+    after = {bid: blocks_after(func, bid) for bid in func.block_order()}
+    names = sorted(set(sites) | set(func.params))
+    for v in names:
+        for u in names:
+            if u == v:
+                expected = True
+            elif v not in sites:
+                expected = False
+            elif u not in sites:
+                expected = True  # a parameter: entry reaches every block
+            else:
+                (u_block, u_pos), (v_block, v_pos) = sites[u], sites[v]
+                expected = (u_block == v_block and u_pos < v_pos) or (
+                    v_block in after[u_block]
+                )
+            assert avail.available_at_definition_of(u, v) == expected, (u, v)
 
 
 class TestDuChains:

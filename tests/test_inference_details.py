@@ -2,15 +2,21 @@
 forindex bounds, symbolic upper bounds (sym_hi), square nonnegativity,
 reduction exactness, widening stability, and shape-fold interplay."""
 
+import importlib.util
 import math
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.pass_manager import run_cleanup_pipeline
+from repro.bench.suite import BENCHMARK_NAMES, compile_benchmark
+from repro.compiler.pipeline import compile_program
 from repro.frontend.parser import parse_program
 from repro.ir.lower import lower_program
 from repro.ssa.construct import base_name, construct_ssa
-from repro.typing.infer import infer_types
+from repro.typing.infer import TypeInference, infer_types
 from repro.typing.intrinsic import Intrinsic
-from repro.typing.shape import ConstDim, Shape
+from repro.typing.shape import ConstDim, FreshDims, Shape
 
 
 def infer(text, **sources):
@@ -164,3 +170,54 @@ class TestShapeFoldInterplay:
             "disp(sum(b));"
         )
         assert type_of(func, env, "b").shape == Shape.matrix(1, 15)
+
+
+def _genprog():
+    path = Path(__file__).parents[1] / "perfbench" / "genprog.py"
+    spec = importlib.util.spec_from_file_location("genprog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GENERATED = [(seed, size) for seed in (1, 2, 3) for size in (100, 200, 400, 800)]
+
+
+class TestSparseFixpoint:
+    """The engine skips transfers whose reads did not change; a dense
+    round-robin pass over its result must then change nothing."""
+
+    @staticmethod
+    def assert_fixpoint(func):
+        fresh = FreshDims()
+        engine = TypeInference(func, fresh)
+        env = engine.run()
+        settled = dict(env.types)
+        with fresh.active():
+            for index, instr in enumerate(engine._instrs):
+                assert not engine._transfer(index, instr), instr
+        assert env.types == settled
+
+    def test_extent_variable_is_a_read(self):
+        # b(1, 2) is in bounds while n#3 >= 2: true for three passes,
+        # after which n's lower bound falls below 2 with b#1's type
+        # unchanged.  Only the lookup of n#3's range behind the extent
+        # ⌊n#3⌋ makes the store's transfer run again and grow b.
+        func, env = infer(
+            "n = floor(rand(1) * 4) + 5;\n"
+            "for k = 1:10\n n = n - 1;\n b = zeros(1, n);\n"
+            " b(1, 2) = 1;\n disp(b);\nend\n"
+        )
+        b = type_of(func, env, "b")
+        assert not b.shape.exact
+        assert str(b.shape) == "~(1, max(2, ⌊n#3⌋))"
+        self.assert_fixpoint(func)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_suite(self, name):
+        self.assert_fixpoint(compile_benchmark(name).ssa_func)
+
+    @pytest.mark.parametrize("seed, size", GENERATED)
+    def test_generated(self, seed, size):
+        sources, entry = _genprog().program_sources(seed, size)
+        self.assert_fixpoint(compile_program(sources, entry).ssa_func)

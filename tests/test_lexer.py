@@ -1,9 +1,21 @@
 """Unit tests for the MATLAB lexer."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.bench.suite import BENCHMARK_NAMES, load_sources
 from repro.frontend.lexer import TokenKind, tokenize
 from repro.frontend.source import MatlabSyntaxError
+
+#: token streams recorded from the per-character scanner this lexer
+#: replaced: per suite file a count and a SHA-256, per edge case the
+#: whole stream
+PIN = json.loads(
+    (Path(__file__).parent / "fixtures" / "lexer_pin.json").read_text()
+)
 
 
 def kinds(text):
@@ -131,3 +143,72 @@ class TestLocations:
             tokenize("x = $")
         assert "line" not in str(exc.value)  # message carries loc as f:l:c
         assert ":1:5" in str(exc.value)
+
+
+def stream(text, filename="<source>"):
+    return [
+        [t.kind.name, t.text, t.location.line, t.location.column]
+        for t in tokenize(text, filename)
+    ]
+
+
+class TestPinnedStreams:
+    """``(kind, text, line, column)`` of every token is pinned."""
+
+    def test_pin_covers_every_suite_file(self):
+        files = {
+            f"{bench}/{fname}"
+            for bench in BENCHMARK_NAMES
+            for fname in load_sources(bench)
+        }
+        assert files == set(PIN["suite"])
+
+    @pytest.mark.parametrize("bench", BENCHMARK_NAMES)
+    def test_suite_sources(self, bench):
+        for fname, text in sorted(load_sources(bench).items()):
+            toks = stream(text, fname)
+            pinned = PIN["suite"][f"{bench}/{fname}"]
+            assert len(toks) == pinned["tokens"], fname
+            digest = hashlib.sha256(json.dumps(toks).encode()).hexdigest()
+            assert digest == pinned["sha256"], fname
+
+    @pytest.mark.parametrize(
+        "case", PIN["edge_cases"], ids=lambda case: repr(case["source"])[:40]
+    )
+    def test_edge_cases(self, case):
+        assert stream(case["source"]) == case["tokens"]
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("x = 'abc", "unterminated string literal", 1, 5),
+            ("x = 'ab\ncd'", "unterminated string literal", 1, 5),
+            ("y = 1;\n  z = 'q''", "unterminated string literal", 2, 7),
+            ("'ab''", "unterminated string literal", 1, 1),
+            ("x = $", "unexpected character '$'", 1, 5),
+            ("a ? b", "unexpected character '?'", 1, 3),
+            ('x = "s"', "unexpected character \'\"\'", 1, 5),
+            ("x = ½", "unexpected character '½'", 1, 5),
+            # a digit that float() cannot read is no digit: the
+            # parser never sees a NUMBER token "2²"
+            ("x = 2²", "unexpected character '²'", 1, 6),
+        ],
+    )
+    def test_errors(self, source, message, line, column):
+        with pytest.raises(MatlabSyntaxError) as exc:
+            tokenize(source)
+        assert exc.value.message == message
+        assert (exc.value.location.line, exc.value.location.column) == (
+            line,
+            column,
+        )
+
+    def test_column_after_a_rejected_exponent(self):
+        # `1e` not followed by digits lexes as 1 then the identifier e.
+        # Columns come from the offset of the last newline, so the
+        # tokens after it keep their true columns.
+        assert stream("x = 1e + 2; y")[2:5] == [
+            ["NUMBER", "1", 1, 5],
+            ["IDENT", "e", 1, 6],
+            ["OP", "+", 1, 8],
+        ]

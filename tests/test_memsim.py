@@ -107,6 +107,74 @@ class TestHeap:
             assert a1 + s1 <= a2
 
 
+class NaiveHeap:
+    """First fit over a free list that every free re-sorts and re-merges
+    whole: the reference for HeapModel's addresses."""
+
+    def __init__(self):
+        self.free_list = []  # (addr, size), sorted by addr
+        self.sizes = {}
+        self.brk = 0
+
+    def malloc(self, size):
+        size = max(8, (size + 7) // 8 * 8)
+        for i, (addr, have) in enumerate(self.free_list):
+            if have >= size:
+                if have > size:
+                    self.free_list[i] = (addr + size, have - size)
+                else:
+                    del self.free_list[i]
+                self.sizes[addr] = size
+                return addr
+        addr = self.brk
+        self.brk += size
+        self.sizes[addr] = size
+        return addr
+
+    def free(self, addr):
+        merged = []
+        for a, s in sorted(self.free_list + [(addr, self.sizes.pop(addr))]):
+            if merged and merged[-1][0] + merged[-1][1] == a:
+                merged[-1] = (merged[-1][0], merged[-1][1] + s)
+            else:
+                merged.append((a, s))
+        self.free_list = merged
+
+    def realloc(self, addr, size):
+        if size <= self.sizes[addr]:
+            return addr
+        self.free(addr)
+        return self.malloc(size)
+
+
+class TestHeapAgainstNaiveReference:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["malloc", "free", "realloc"]),
+                st.integers(min_value=1, max_value=4096),
+                st.integers(min_value=0, max_value=1000),
+            ),
+            max_size=80,
+        )
+    )
+    def test_same_addresses_and_free_list(self, ops):
+        heap, naive = HeapModel(), NaiveHeap()
+        for op, size, pick in ops:
+            live = sorted(naive.sizes)
+            if op == "malloc" or not live:
+                assert heap.malloc(size) == naive.malloc(size)
+            elif op == "free":
+                heap.free(live[pick % len(live)])
+                naive.free(live[pick % len(live)])
+            else:
+                addr = live[pick % len(live)]
+                assert heap.realloc(addr, size)[0] == naive.realloc(addr, size)
+            assert [(b.addr, b.size) for b in heap.free_list] == naive.free_list
+            assert heap.allocations == naive.sizes
+            assert heap.brk == naive.brk
+
+
 class TestStack:
     def test_initial_environment_page(self):
         stack = StackModel()

@@ -149,6 +149,28 @@ class TestCacheHitMiss:
         assert meta["fingerprint"] == fp
         assert meta["pipeline_version"] == PIPELINE_VERSION
         assert set(meta["checksums"]) == {"plan"}
+        assert set(meta) == {
+            "fingerprint", "pipeline_version", "created", "checksums"
+        }
+
+    def test_entry_with_request_keys_in_meta_still_loads(self, cache):
+        """Entries once recorded the request's entry, options and file
+        names in meta.json; nothing read them, and they still load."""
+        compile_source(SRC, cache=cache)
+        (fp,) = cache.entries()
+        meta_path = cache.object_dir(fp) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta.update(
+            entry=None,
+            options=canonical_options(CompilerOptions()),
+            source_files=["main.m"],
+        )
+        meta_path.write_text(json.dumps(meta))
+        fresh = ArtifactCache(cache.root)
+        loaded = fresh.load(fp)
+        assert loaded is not None
+        assert fresh.stats.hits == 1 and fresh.stats.repairs == 0
+        assert loaded.run_mat2c().output == "32\n"
 
     def test_entry_with_report_and_c_source_still_loads(self, cache):
         """An entry written with report/c_source payloads (and their

@@ -141,12 +141,19 @@ class TestIndependentDataflowAgrees:
         func = compiled(name).ssa_func
         ours = recompute_availability(func)
         theirs = compute_availability(func)
+
+        def names(mask):
+            return {n for n, bit in theirs.bit.items() if mask >> bit & 1}
+
         for bid in func.blocks:
-            assert ours.avail_in[bid] == theirs.avail_in[bid], bid
-            assert ours.avail_out[bid] == theirs.avail_out[bid], bid
-        assert set(ours.at_def) == set(theirs.at_def)
-        for name_ in ours.at_def:
-            assert ours.at_def[name_] == theirs.at_def[name_], name_
+            assert ours.avail_in[bid] == names(theirs.avail_in[bid]), bid
+            assert ours.avail_out[bid] == names(theirs.avail_out[bid]), bid
+        everything = sorted(theirs.bit)
+        for v in everything:
+            for u in everything:
+                assert ours.available_at_definition_of(
+                    u, v
+                ) == theirs.available_at_definition_of(u, v), (u, v)
 
 
 # --------------------------------------------------------------------------
