@@ -987,7 +987,8 @@ class CEmitter:
         if name == "disp":
             arg = instr.args[0]
             if isinstance(arg, StrConst):
-                self._L(f'printf("%s\\n", "{arg.value}");')
+                if arg.value:  # disp('') prints nothing
+                    self._L(f'printf("%s\\n", "{arg.value}");')
                 return
             if isinstance(arg, Const):
                 self._L(f"rt_print_scalar({arg.value.real!r});")

@@ -44,12 +44,13 @@ class _Box:
     """One mxArray allocation (possibly shared by several names)."""
 
     addr: int
-    bytes: int
     refs: int = 1
 
 
 class MccMeter:
     """Prices an :class:`~repro.vm.base.Engine` run as mcc code."""
+
+    __slots__ = ("clock", "heap", "stack", "memory", "_box_of", "_dead_temps")
 
     def __init__(self, func: IRFunction) -> None:
         self.clock = 0.0
@@ -98,12 +99,9 @@ class MccMeter:
     # -- box management ----------------------------------------------------
 
     def _allocate_box(self, name: str, value: MArray) -> None:
-        payload = value.byte_size()
-        box = _Box(
-            addr=self.heap.malloc(MXARRAY_HEADER_BYTES + payload),
-            bytes=MXARRAY_HEADER_BYTES + payload,
+        self._box_of[name] = _Box(
+            self.heap.malloc(MXARRAY_HEADER_BYTES + value.byte_size())
         )
-        self._box_of[name] = box
         self.clock += COSTS.mxarray_create + COSTS.malloc_call
 
     def _release(self, name: str) -> None:
@@ -124,13 +122,38 @@ class MccMeter:
         mcc folds all-scalar arithmetic to native doubles at compile
         time (paper §4.4: only scalars that *don't* get folded are
         boxed) — this is why adpt's speedup is marginal in Figure 5.
-        Whether an op can fold at all is decided here, once; whether
-        this execution's operands and results are scalars, per run.
+        Whether an op can fold at all (a one-result op that is no call,
+        index or display), its operand count, whether a copy shares a
+        box and its cost class are decided here, once; whether this
+        execution's operands and result are scalars, per run.
         """
         op = instr.op
-        foldable_op = not (
-            instr.is_call or op in ("subsref", "subsasgn", "display")
+        names = instr.results
+        overhead = COSTS.library_call + COSTS.type_check * max(
+            1, len(instr.args)
         )
+        element_op = COSTS.element_op
+        meter, box_of, release, allocate, sample = (
+            self, self._box_of, self._release, self._allocate_box,
+            self.memory.sample,
+        )
+        if instr.is_call or op in ("subsref", "subsasgn", "display") or (
+            len(names) != 1
+        ):
+            # a library call: every result is a fresh mxArray
+            def price(args, results, work):
+                for name, value in zip(names, results):
+                    if name in box_of:
+                        release(name)  # reassignment frees the old value
+                    allocate(name, value)
+                meter.clock += overhead + element_op * work
+                sample(meter.clock)
+
+            return price
+
+        (name,) = names
+        scalar_args = _all_scalar(len(instr.args))
+        # copy-on-write: a copy shares its source's box (None: no box)
         shared = (
             instr.args[0].name
             if op == "copy" and isinstance(instr.args[0], Var)
@@ -144,40 +167,28 @@ class MccMeter:
             fixed = COSTS.type_check
         else:
             fixed = None
-        overhead = COSTS.library_call + COSTS.type_check * max(
-            1, len(instr.args)
-        )
-        names = instr.results
-        box_of, release, allocate, sample = (
-            self._box_of, self._release, self._allocate_box,
-            self.memory.sample,
-        )
+        cow_share = COSTS.cow_share
 
         def price(args, results, work):
-            scalar_args = foldable_op and all(
-                a.data.size == 1 for a in args
-            )
-            for name, value in zip(names, results):
-                if name in box_of:
-                    release(name)  # reassignment frees the old value
-                if scalar_args and value.data.size == 1:
-                    continue  # lives in a C double, not an mxArray
-                if shared is not None:
-                    # copy-on-write: share the source's box
-                    src_box = box_of.get(shared)
-                    if src_box is not None:
-                        src_box.refs += 1
-                        box_of[name] = src_box
-                        self.clock += COSTS.cow_share
-                        continue
-                allocate(name, value)
-            if scalar_args and all(r.data.size == 1 for r in results):
-                self.clock += COSTS.element_op * work
-            elif fixed is not None:
-                self.clock += fixed
+            value = results[0]
+            if name in box_of:
+                release(name)  # reassignment frees the old value
+            if value.data.size == 1 and scalar_args(args):
+                # lives in a C double, not an mxArray
+                meter.clock += element_op * work
             else:
-                self.clock += overhead + COSTS.element_op * work
-            sample(self.clock)
+                src_box = box_of.get(shared)
+                if src_box is not None:
+                    src_box.refs += 1
+                    box_of[name] = src_box
+                    meter.clock += cow_share
+                else:
+                    allocate(name, value)
+                if fixed is not None:
+                    meter.clock += fixed
+                else:
+                    meter.clock += overhead + element_op * work
+            sample(meter.clock)
 
         return price
 
@@ -186,9 +197,30 @@ class MccMeter:
         # after their last use (§4.4) — compiler temporaries, in our
         # IR.  *Named* user variables persist until reassigned.
         dead = self._dead_temps[block_id]
-        for name in [n for n in self._box_of if n in dead]:
-            self._release(name)
+        if dead:
+            for name in [n for n in self._box_of if n in dead]:
+                self._release(name)
         self.memory.sample(self.clock)
 
     def report(self) -> MemoryReport:
         return self.memory.report()
+
+
+def _all_scalar(arity: int):
+    """``args → bool``: are all ``arity`` operands scalars?"""
+    if arity == 0:
+        return lambda args: True
+    if arity == 1:
+        return lambda args: args[0].data.size == 1
+    if arity == 2:
+        return lambda args: (
+            args[0].data.size == 1 and args[1].data.size == 1
+        )
+
+    def all_scalar(args):
+        for a in args:
+            if a.data.size != 1:
+                return False
+        return True
+
+    return all_scalar

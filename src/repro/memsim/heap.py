@@ -4,6 +4,10 @@ Addresses are byte offsets into a simulated heap segment that grows in
 8 KB pages and, like a classic Unix ``brk`` heap, never shrinks — the
 segment's high watermark is what the virtual-memory size reports.
 Resident-set accounting marks pages on first touch.
+
+``version`` counts the changes a memory meter can see: every
+``malloc`` and ``free`` (so a ``realloc`` that moves), and every touch
+that adds pages.  A meter re-reads the heap only when it has moved.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ class HeapModel:
     touched_pages: set[int] = field(default_factory=set)
     malloc_count: int = 0
     free_count: int = 0
+    version: int = 0
 
     def malloc(self, size: int) -> int:
         size = max(_ALIGN, (size + _ALIGN - 1) // _ALIGN * _ALIGN)
         self.malloc_count += 1
+        self.version += 1
         for i, block in enumerate(self.free_list):
             if block.size >= size:
                 addr = block.addr
@@ -64,6 +70,7 @@ class HeapModel:
         if size is None:
             raise SimulationError(f"free of unallocated address {addr}")
         self.free_count += 1
+        self.version += 1
         self.live_bytes -= size
         self._insert_free(_FreeBlock(addr, size))
 
@@ -98,9 +105,19 @@ class HeapModel:
     def _touch(self, addr: int, size: int) -> int:
         first = addr // PAGE_SIZE
         last = (addr + max(size, 1) - 1) // PAGE_SIZE
-        before = len(self.touched_pages)
-        self.touched_pages.update(range(first, last + 1))
-        return len(self.touched_pages) - before
+        touched = self.touched_pages
+        if first == last:  # most blocks lie within one page
+            if first in touched:
+                return 0
+            touched.add(first)
+            self.version += 1
+            return 1
+        before = len(touched)
+        touched.update(range(first, last + 1))
+        added = len(touched) - before
+        if added:
+            self.version += 1
+        return added
 
     def touch_bytes(self, addr: int, size: int) -> int:
         """Public touch (e.g. writing into an existing allocation)."""

@@ -5,7 +5,14 @@ have changed; the meter integrates every series over the virtual clock:
 
     M = Σᵢ mᵢ·Δtᵢ / Σᵢ Δtᵢ
 
-and also reports the kcore-min value M(KB) × T(minutes) of §4.5.2.1.
+one term per sample that advances the clock, added in sample order.
+The five byte values are re-read from the heap and stack models only
+when one of their ``version`` counters has moved since the last read;
+most samples see no change and just add ``value·Δt`` again.  The sums
+are the same float operations in the same order either way, so the
+modelled numbers do not depend on how often the models are re-read.
+
+The meter also reports the kcore-min value M(KB) × T(minutes) of §4.5.2.1.
 The ``binary_image_bytes`` models the compiled text+data mapping that
 dominates the *virtual memory* plots (Figure 3): mat2c inlines its
 operations (bigger image), mcc links a shared library.
@@ -13,25 +20,11 @@ operations (bigger image), mcc links a shared library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.memsim.costs import CLOCK_HZ
 from repro.memsim.heap import PAGE_SIZE, HeapModel
 from repro.memsim.stack import StackModel
-
-
-@dataclass(slots=True)
-class SeriesAverage:
-    weighted_sum: float = 0.0
-    peak: float = 0.0
-
-    def add(self, value: float, dt: float) -> None:
-        self.weighted_sum += value * dt
-        if value > self.peak:
-            self.peak = value
-
-    def average(self, total_time: float) -> float:
-        return self.weighted_sum / total_time if total_time > 0 else 0.0
 
 
 @dataclass(slots=True)
@@ -51,6 +44,14 @@ class MemoryReport:
 
 
 class MemoryMeter:
+    __slots__ = (
+        "_heap", "_stack", "_image", "_resident_image",
+        "_last_cycles", "_heap_version", "_stack_version",
+        "_stack_b", "_heap_b", "_dynamic_b", "_virtual_b", "_resident_b",
+        "_stack_sum", "_heap_sum", "_dynamic_sum", "_virtual_sum",
+        "_resident_sum", "_peak_dynamic",
+    )
+
     def __init__(
         self,
         heap: HeapModel,
@@ -67,56 +68,73 @@ class MemoryMeter:
             else binary_image_bytes
         )
         self._last_cycles = 0.0
-        self._stack_avg = SeriesAverage()
-        self._heap_avg = SeriesAverage()
-        self._dynamic_avg = SeriesAverage()
-        self._virtual_avg = SeriesAverage()
-        self._resident_avg = SeriesAverage()
-        self._total_cycles = 0.0
+        # the model versions the cached byte values were read at
+        self._heap_version = self._stack_version = -1
+        self._stack_b = self._heap_b = self._dynamic_b = 0
+        self._virtual_b = self._resident_b = 0
+        self._stack_sum = self._heap_sum = self._dynamic_sum = 0.0
+        self._virtual_sum = self._resident_sum = 0.0
+        self._peak_dynamic = 0.0
 
     def sample(self, clock_cycles: float) -> None:
         dt = clock_cycles - self._last_cycles
         if dt <= 0:
             return
         self._last_cycles = clock_cycles
-        self._total_cycles = clock_cycles
-        # the models' fields, read directly: this runs once per
-        # executed instruction and meter
         stack, heap = self._stack, self._heap
+        if (
+            heap.version != self._heap_version
+            or stack.version != self._stack_version
+        ):
+            self._read(heap, stack)
+        self._stack_sum += self._stack_b * dt
+        self._heap_sum += self._heap_b * dt
+        self._dynamic_sum += self._dynamic_b * dt
+        self._virtual_sum += self._virtual_b * dt
+        self._resident_sum += self._resident_b * dt
+
+    def _read(self, heap: HeapModel, stack: StackModel) -> None:
+        """Re-derive the five series' byte values from the models."""
+        self._heap_version = heap.version
+        self._stack_version = stack.version
         stack_b = (
             (stack.high_watermark + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
         )
         heap_b = heap.live_bytes
         dynamic_b = stack.depth_bytes + heap_b
-        virtual_b = (
+        self._stack_b = stack_b
+        self._heap_b = heap_b
+        self._dynamic_b = dynamic_b
+        self._virtual_b = (
             self._image
             + stack_b
             + (heap.brk + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
         )
-        resident_b = (
+        self._resident_b = (
             self._resident_image  # only touched text/library pages
             + stack.touched_pages * PAGE_SIZE
             + len(heap.touched_pages) * PAGE_SIZE
         )
-        self._stack_avg.add(stack_b, dt)
-        self._heap_avg.add(heap_b, dt)
-        self._dynamic_avg.add(dynamic_b, dt)
-        self._virtual_avg.add(virtual_b, dt)
-        self._resident_avg.add(resident_b, dt)
+        if dynamic_b > self._peak_dynamic:
+            self._peak_dynamic = dynamic_b
 
     def report(self) -> MemoryReport:
-        t = self._total_cycles
+        t = self._last_cycles
         seconds = t / CLOCK_HZ
-        avg_dynamic_kb = self._dynamic_avg.average(t) / 1024.0
+        avg_dynamic_kb = _average(self._dynamic_sum, t) / 1024.0
         return MemoryReport(
-            avg_stack_kb=self._stack_avg.average(t) / 1024.0,
-            avg_heap_kb=self._heap_avg.average(t) / 1024.0,
+            avg_stack_kb=_average(self._stack_sum, t) / 1024.0,
+            avg_heap_kb=_average(self._heap_sum, t) / 1024.0,
             avg_dynamic_kb=avg_dynamic_kb,
-            avg_virtual_kb=self._virtual_avg.average(t) / 1024.0,
-            avg_resident_kb=self._resident_avg.average(t) / 1024.0,
-            peak_dynamic_kb=self._dynamic_avg.peak / 1024.0,
+            avg_virtual_kb=_average(self._virtual_sum, t) / 1024.0,
+            avg_resident_kb=_average(self._resident_sum, t) / 1024.0,
+            peak_dynamic_kb=self._peak_dynamic / 1024.0,
             execution_seconds=seconds,
             kcore_min=avg_dynamic_kb * (seconds / 60.0),
             mallocs=self._heap.malloc_count,
             frees=self._heap.free_count,
         )
+
+
+def _average(weighted_sum: float, total_time: float) -> float:
+    return weighted_sum / total_time if total_time > 0 else 0.0

@@ -4,7 +4,8 @@ The stack segment starts at one page (8 KB) holding the process
 environment — the paper measured exactly this on Solaris 7 — and grows
 in page units with the high watermark of pushed frames.  mcc-style
 codes keep small frames (pointers only); mat2c frames carry the
-stack-allocated array groups of §3.2.1.
+stack-allocated array groups of §3.2.1.  ``version`` counts pushed
+and popped frames, the only changes a memory meter can see.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ class StackModel:
     depth_bytes: int = INITIAL_STACK_BYTES
     high_watermark: int = INITIAL_STACK_BYTES
     touched_pages: int = 1
+    version: int = 0
 
     def push_frame(self, frame_bytes: int) -> None:
+        self.version += 1
         self.frames.append(frame_bytes)
         self.depth_bytes += frame_bytes
         if self.depth_bytes > self.high_watermark:
@@ -34,6 +37,7 @@ class StackModel:
 
     def pop_frame(self) -> None:
         self.depth_bytes -= self.frames.pop()
+        self.version += 1
 
     @property
     def segment_bytes(self) -> int:

@@ -465,7 +465,9 @@ def _format_value(a: MArray) -> str:
 
 @builtin("disp")
 def _disp(ctx, args, nargout):
-    ctx.write(_format_value(args[0]) + "\n")
+    # like MATLAB and the generated C, an empty array prints nothing
+    if args[0].data.size:
+        ctx.write(_format_value(args[0]) + "\n")
     return []
 
 

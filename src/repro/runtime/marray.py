@@ -95,7 +95,7 @@ class MArray:
 
     @property
     def is_complex(self) -> bool:
-        return np.iscomplexobj(self.data)
+        return self.data.dtype.kind == "c"
 
     def scalar(self) -> complex:
         if not self.is_scalar:
@@ -125,13 +125,14 @@ class MArray:
 
     def byte_size(self, logical_bytes: int = 4) -> int:
         """Payload bytes under the C translation's representation."""
+        size = self.data.size
         if self.is_logical:
-            return self.numel * logical_bytes
+            return size * logical_bytes
         if self.is_char:
-            return self.numel
+            return size
         if self.is_complex:
-            return self.numel * 16
-        return self.numel * 8
+            return size * 16
+        return size * 8
 
     def as_string(self) -> str:
         return "".join(chr(int(c.real)) for c in self.flat())

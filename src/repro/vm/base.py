@@ -8,9 +8,11 @@ instruction — its operand values, its results and its
 :func:`~repro.vm.work.computation_work`, computed once — to a list of
 meters.  Each meter keeps its own clock, heap, stack and memory meter
 and answers the hooks ``start``, ``decode``, ``branch``, ``block_end``,
-``finish`` and ``report``.  One run yields one :class:`ExecutionResult`
-per meter; the output and step count are the evaluation's and so are
-shared.
+``finish`` and ``report``.  ``decode`` may return None for an
+instruction that costs the meter nothing, and ``block_end`` may be None
+for a meter that does nothing at a block's end; the engine then skips
+the call.  One run yields one :class:`ExecutionResult` per meter; the
+output and step count are the evaluation's and so are shared.
 
 Each run first *decodes* the function, once: every operand becomes an
 environment key (constants are prebuilt, read-only values stored under
@@ -113,6 +115,8 @@ class Engine:
         for meter in meters:
             meter.start()
         code = self._decode()
+        block_ends = [m.block_end for m in meters if m.block_end is not None]
+        branches = [meter.branch for meter in meters]
         env = self.env
         limit = self.max_steps
         steps = self.steps
@@ -130,11 +134,12 @@ class Engine:
                 except KeyError:
                     raise self._undefined(instr) from None
                 results = evaluate(args)
-                work = work_of(args, results)
-                for price in prices:
-                    price(args, results, work)
-            for meter in meters:
-                meter.block_end(block_id)
+                if prices:
+                    work = work_of(args, results)
+                    for price in prices:
+                        price(args, results, work)
+            for block_end in block_ends:
+                block_end(block_id)
             # count the control transfer too: an empty loop (all body
             # instructions dead-coded away) must still hit the limit
             steps += 1
@@ -154,8 +159,8 @@ class Engine:
                 cond = env[condition]
             except KeyError:
                 raise self._undefined(term) from None
-            for meter in meters:
-                meter.branch()
+            for branch in branches:
+                branch()
             block_id = true_target if cond.is_true() else false_target
         self.steps = steps
         for meter in meters:
@@ -248,7 +253,10 @@ class Engine:
             fetch,
             _evaluator(instr, self.env, out, self.ctx),
             work_function(instr),
-            tuple(meter.decode(instr) for meter in self.meters),
+            tuple(
+                price for meter in self.meters
+                if (price := meter.decode(instr)) is not None
+            ),
             instr,
         )
 

@@ -49,6 +49,11 @@ class _HeapBuffer:
 class Mat2CMeter:
     """Prices an :class:`~repro.vm.base.Engine` run under ``plan``."""
 
+    __slots__ = ("plan", "clock", "heap", "stack", "memory", "_buffers")
+
+    #: nothing happens at a block's end, so the engine skips the hook
+    block_end = None
+
     def __init__(self, func: IRFunction, plan: AllocationPlan) -> None:
         self.plan = plan
         self.clock = 0.0
@@ -84,16 +89,18 @@ class Mat2CMeter:
     def branch(self) -> None:
         self.clock += COSTS.branch
 
-    def block_end(self, block_id: int) -> None:
-        pass
-
     def decode(self, instr: Instr):
-        """The function that prices one execution of ``instr``.
+        """The function that prices one execution of ``instr``, or None
+        when an execution costs nothing.
 
-        Everything that does not depend on run-time shapes is looked
-        up here, once: each result's heap group and resize mark,
-        whether a copy is an identity assignment, the cost class and
-        the group a write touches.
+        Everything that does not depend on run-time shapes is folded
+        in here, once: each result's heap group and resize mark,
+        whether a copy is an identity assignment and the cost class.
+        An identity copy into a stack group is folded away entirely;
+        an instruction that defines no heap group prices as
+        ``clock += cost; sample(clock)``.  A write into a group's heap
+        buffer touches no page: ``malloc`` touched every page of the
+        buffer, and a realloc that moves it mallocs again.
         """
         plan = self.plan
         defines = []
@@ -103,86 +110,101 @@ class Mat2CMeter:
                 # no group, or frame space preallocated and fixed
                 defines.append(None)
             else:
-                defines.append(
-                    (gid, plan.resize_marks.get(name, MAY_RESIZE))
-                )
+                defines.append(self._definer(
+                    gid, plan.resize_marks.get(name, MAY_RESIZE)
+                ))
         if not any(defines):
             defines = []
-        written = (
-            plan.group_of.get(instr.results[0]) if instr.results else None
-        )
-        op = instr.op
-        if op == "copy" and isinstance(instr.args[0], Var):
-            if plan.same_storage(instr.args[0].name, instr.results[0]):
-                cost = None  # identity assignment: folded away
-            else:
-                # cross-group copy: move the bytes
-                def cost(results, work):
-                    return COSTS.element_copy * results[0].numel + 2.0
-        elif op == "subsref":
-            def cost(results, work):
-                return COSTS.subsref_compiled * max(1.0, work)
-        elif op == "subsasgn":
-            def cost(results, work):
-                return COSTS.subsasgn_compiled * max(1.0, work)
-        elif op == "display" or (
-            instr.is_call and instr.callee in ("disp", "fprintf")
+        if (
+            instr.op == "copy"
+            and isinstance(instr.args[0], Var)
+            and plan.same_storage(instr.args[0].name, instr.results[0])
         ):
-            def cost(results, work):
-                return COSTS.library_call + work
+            # identity assignment: folded away, but a heap group's
+            # buffer is still checked against the member's needs
+            plain = None
         else:
-            def cost(results, work):
-                return COSTS.scalar_op * work
-        define, touch, sample = (
-            self._define, self._touch_write, self.memory.sample
-        )
+            plain = self._plain_price(instr)
+        if not defines:
+            return plain
 
         def price(args, results, work):
-            for fact, value in zip(defines, results):
-                if fact is not None:
-                    define(fact, value)
-            if cost is None:
-                return
-            self.clock += cost(results, work)
-            if results:
-                touch(written, results)
-            sample(self.clock)
+            for define, value in zip(defines, results):
+                if define is not None:
+                    define(value)
+            if plain is not None:
+                plain(args, results, work)
 
         return price
 
-    def _define(self, fact: tuple, value: MArray) -> None:
-        """A heap group's member ``value`` is (re)defined."""
-        gid, mark = fact
-        need = value.byte_size()
-        buffer = self._buffers.get(gid)
-        if buffer is None:
-            addr = self.heap.malloc(max(need, 8))
-            self._buffers[gid] = _HeapBuffer(addr, max(need, 8))
-            self.clock += COSTS.malloc_call
-            return
-        if mark != NO_RESIZE:
-            self.clock += COSTS.resize_check
-        if need > buffer.size:
-            new_addr, new_pages = self.heap.realloc(buffer.addr, need)
-            buffer.addr, buffer.size = new_addr, need
-            self.clock += (
-                COSTS.realloc_base
-                + COSTS.page_touch * new_pages
-            )
-        elif need < buffer.size and mark == MAY_RESIZE:
-            # shrink to the member's needs to relieve heap pressure
-            new_addr, _ = self.heap.realloc(buffer.addr, max(need, 8))
-            buffer.addr, buffer.size = new_addr, max(need, 8)
-            self.clock += COSTS.realloc_base * 0.25
+    def _plain_price(self, instr: Instr):
+        """``clock += cost; sample(clock)`` for the cost class of
+        ``instr``, with the cost model's constants bound."""
+        meter, sample = self, self.memory.sample
+        op = instr.op
+        if op == "copy" and isinstance(instr.args[0], Var):
+            # cross-group copy: move the bytes
+            per_element = COSTS.element_copy
 
-    def _touch_write(self, gid: int | None, results: list[MArray]) -> None:
-        if gid is None:
-            return
-        buffer = self._buffers.get(gid)
-        if buffer is not None:
-            self.heap.touch_bytes(buffer.addr, min(
-                buffer.size, results[0].byte_size() or 1
-            ))
+            def price(args, results, work):
+                meter.clock += per_element * results[0].data.size + 2.0
+                sample(meter.clock)
+        elif op in ("subsref", "subsasgn"):
+            per_work = (
+                COSTS.subsref_compiled if op == "subsref"
+                else COSTS.subsasgn_compiled
+            )
+
+            def price(args, results, work):
+                meter.clock += per_work * max(1.0, work)
+                sample(meter.clock)
+        elif op == "display" or (
+            instr.is_call and instr.callee in ("disp", "fprintf")
+        ):
+            call = COSTS.library_call
+
+            def price(args, results, work):
+                meter.clock += call + work
+                sample(meter.clock)
+        else:
+            per_work = COSTS.scalar_op
+
+            def price(args, results, work):
+                meter.clock += per_work * work
+                sample(meter.clock)
+        return price
+
+    def _definer(self, gid: int, mark: str):
+        """The function run when a member of heap group ``gid`` with
+        resize ``mark`` is (re)defined to a value."""
+        meter, heap, buffers = self, self.heap, self._buffers
+        checked = mark != NO_RESIZE
+        shrinks = mark == MAY_RESIZE
+
+        def define(value: MArray) -> None:
+            need = value.byte_size()
+            buffer = buffers.get(gid)
+            if buffer is None:
+                addr = heap.malloc(max(need, 8))
+                buffers[gid] = _HeapBuffer(addr, max(need, 8))
+                meter.clock += COSTS.malloc_call
+                return
+            if checked:
+                meter.clock += COSTS.resize_check
+            if need > buffer.size:
+                new_addr, new_pages = heap.realloc(buffer.addr, need)
+                buffer.addr, buffer.size = new_addr, need
+                meter.clock += (
+                    COSTS.realloc_base
+                    + COSTS.page_touch * new_pages
+                )
+            elif need < buffer.size and shrinks:
+                # shrink to the member's needs to relieve heap pressure
+                new_addr, _ = heap.realloc(buffer.addr, max(need, 8))
+                buffer.addr, buffer.size = new_addr, max(need, 8)
+                meter.clock += COSTS.realloc_base * 0.25
+
+        return define
 
     def report(self) -> MemoryReport:
         return self.memory.report()

@@ -188,6 +188,15 @@ class TestDifferentialExecution:
         c_out, vm_out, _ = run_both("x = 6 * 7\n")
         assert c_out == vm_out
 
+    @pytest.mark.parametrize("empty", ["[]", "zeros(0, 3)"])
+    def test_disp_of_an_empty_array_prints_nothing(self, empty):
+        c_out, vm_out, _ = run_both(f"e = {empty};\ndisp(e);\ndisp(7);")
+        assert c_out == vm_out == "7\n"
+
+    def test_disp_of_an_empty_string_prints_nothing(self):
+        c_out, vm_out, _ = run_both("disp('');\ndisp(7);")
+        assert c_out == vm_out == "7\n"
+
     def test_user_function_inlined(self):
         from repro.compiler.pipeline import compile_program
 

@@ -136,6 +136,16 @@ class TestBasicExecution:
         assert "x =" in mat2c.output
         assert "42" in mat2c.output
 
+    @pytest.mark.parametrize(
+        "empty", ["[]", "zeros(0, 3)", "zeros(3, 0)", "''"]
+    )
+    def test_disp_of_an_empty_array_prints_nothing(self, empty):
+        # MATLAB prints nothing at all, not a blank line
+        _, mat2c, _, _ = assert_agreement(
+            f"e = {empty};\ndisp(e);\ndisp(7);"
+        )
+        assert mat2c.output == "7\n"
+
     def test_swap_loop(self):
         # exercises parallel-copy cycles after SSA inversion
         _, mat2c, _, _ = assert_agreement(

@@ -1,12 +1,14 @@
 """Unit tests for the memory simulator: heap, stack, meter."""
 
+from dataclasses import asdict, dataclass
+
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.memsim.costs import CLOCK_HZ, CostModel
 from repro.memsim.heap import PAGE_SIZE, HeapModel, SimulationError
-from repro.memsim.meter import MemoryMeter
+from repro.memsim.meter import MemoryMeter, MemoryReport
 from repro.memsim.stack import INITIAL_STACK_BYTES, StackModel
 
 
@@ -247,6 +249,200 @@ class TestMeter:
         meter.sample(10.0)
         report = meter.report()
         assert report.peak_dynamic_kb >= 50_000 / 1024
+
+
+@dataclass
+class SeriesAverage:
+    weighted_sum: float = 0.0
+    peak: float = 0.0
+
+    def add(self, value, dt):
+        self.weighted_sum += value * dt
+        if value > self.peak:
+            self.peak = value
+
+    def average(self, total_time):
+        return self.weighted_sum / total_time if total_time > 0 else 0.0
+
+
+class ReferenceMeter:
+    """Equation 2 as first written: every sample that advances the
+    clock re-reads all five series from the models and adds each."""
+
+    def __init__(self, heap, stack, image, resident_image):
+        self.heap, self.stack = heap, stack
+        self.image, self.resident_image = image, resident_image
+        self.last = 0.0
+        self.series = {
+            name: SeriesAverage()
+            for name in ("stack", "heap", "dynamic", "virtual", "resident")
+        }
+
+    def sample(self, clock):
+        dt = clock - self.last
+        if dt <= 0:
+            return
+        self.last = clock
+        stack, heap = self.stack, self.heap
+        values = {
+            "stack": stack.segment_bytes,
+            "heap": heap.live_bytes,
+            "dynamic": stack.depth_bytes + heap.live_bytes,
+            "virtual": self.image + stack.segment_bytes + heap.segment_bytes,
+            "resident": self.resident_image + stack.resident_bytes
+            + heap.resident_bytes,
+        }
+        for name, value in values.items():
+            self.series[name].add(value, dt)
+
+    def report(self):
+        t = self.last
+        seconds = t / CLOCK_HZ
+        kb = {
+            name: series.average(t) / 1024.0
+            for name, series in self.series.items()
+        }
+        return MemoryReport(
+            avg_stack_kb=kb["stack"],
+            avg_heap_kb=kb["heap"],
+            avg_dynamic_kb=kb["dynamic"],
+            avg_virtual_kb=kb["virtual"],
+            avg_resident_kb=kb["resident"],
+            peak_dynamic_kb=self.series["dynamic"].peak / 1024.0,
+            execution_seconds=seconds,
+            kcore_min=kb["dynamic"] * (seconds / 60.0),
+            mallocs=self.heap.malloc_count,
+            frees=self.heap.free_count,
+        )
+
+
+#: one step of a trace: (operation, size or clock steps, which allocation)
+TRACE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "malloc", "free", "realloc", "touch", "push", "push", "pop",
+            "pop", "sample", "sample", "sample", "sample",
+        ]),
+        st.integers(min_value=0, max_value=3 * PAGE_SIZE),
+        st.integers(min_value=0, max_value=1000),
+    ),
+    min_size=20,
+    max_size=120,
+)
+
+
+def apply_step(heap, stack, step, clock):
+    """Apply one trace step to the models; returns the new clock (a
+    sample advances it by a multiple of the 0.8-cycle element copy,
+    or not at all)."""
+    op, size, pick = step
+    live = sorted(heap.allocations)
+    if op == "malloc" or (op in ("free", "realloc") and not live):
+        heap.malloc(size)
+    elif op == "free":
+        heap.free(live[pick % len(live)])
+    elif op == "realloc":
+        heap.realloc(live[pick % len(live)], size)
+    elif op == "touch":
+        # any range: inside a live block (no new page) or past it
+        heap.touch_bytes(pick * 64, size)
+    elif op == "push":
+        stack.push_frame(size + 8)
+    elif op == "pop":
+        if stack.frames:
+            stack.pop_frame()
+    else:
+        clock += (size % 6) * 0.8 + (pick % 3)
+    return clock
+
+
+class TestMeterAgainstReference:
+    @seed(20030609)
+    @settings(max_examples=150, deadline=None)
+    @given(TRACE_STEPS)
+    def test_every_report_field_is_bit_identical(self, trace):
+        heap, stack = HeapModel(), StackModel()
+        meter = MemoryMeter(heap, stack, 400 * 1024, 340 * 1024)
+        reference = ReferenceMeter(heap, stack, 400 * 1024, 340 * 1024)
+        clock = 0.0
+        for step in trace:
+            clock = apply_step(heap, stack, step, clock)
+            if step[0] == "sample":
+                meter.sample(clock)
+                reference.sample(clock)
+        assert asdict(meter.report()) == asdict(reference.report())
+
+
+def metered(heap, stack):
+    """Every model field a memory meter reads."""
+    return (
+        heap.live_bytes, heap.brk, len(heap.touched_pages),
+        stack.depth_bytes, stack.high_watermark, stack.touched_pages,
+    )
+
+
+class TestVersionContract:
+    @seed(20030609)
+    @settings(max_examples=100, deadline=None)
+    @given(TRACE_STEPS)
+    def test_a_metered_change_bumps_a_version(self, trace):
+        heap, stack = HeapModel(), StackModel()
+        for step in trace:
+            before = metered(heap, stack)
+            versions = (heap.version, stack.version)
+            apply_step(heap, stack, step, 0.0)
+            if metered(heap, stack) != before:
+                assert (heap.version, stack.version) != versions, step
+
+    @pytest.mark.parametrize("op", ["malloc", "free", "realloc_moves"])
+    def test_heap_changes_bump_the_version(self, op):
+        heap = HeapModel()
+        addr = heap.malloc(64)
+        heap.malloc(64)  # keeps the block from growing in place
+        version = heap.version
+        if op == "malloc":
+            heap.malloc(8)
+        elif op == "free":
+            heap.free(addr)
+        else:
+            assert heap.realloc(addr, 4096)[0] != addr
+        assert heap.version > version
+
+    def test_touching_new_pages_bumps_the_version(self):
+        heap = HeapModel()
+        addr = heap.malloc(3 * PAGE_SIZE)
+        heap.touched_pages.clear()  # as if mapped but never written
+        version = heap.version
+        assert heap.touch_bytes(addr, PAGE_SIZE) == 1
+        assert heap.version > version
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_realloc_in_place_changes_nothing_metered(self, size):
+        heap, stack = HeapModel(), StackModel()
+        addr = heap.malloc(256)
+        before, version = metered(heap, stack), heap.version
+        assert heap.realloc(addr, size) == (addr, 0)
+        assert metered(heap, stack) == before
+        assert heap.version == version
+
+    def test_touching_touched_pages_changes_nothing_metered(self):
+        heap, stack = HeapModel(), StackModel()
+        addr = heap.malloc(2 * PAGE_SIZE)
+        before, version = metered(heap, stack), heap.version
+        assert heap.touch_bytes(addr, 2 * PAGE_SIZE) == 0
+        assert metered(heap, stack) == before
+        assert heap.version == version
+
+    @pytest.mark.parametrize("op", ["push", "pop"])
+    def test_frame_changes_bump_the_stack_version(self, op):
+        stack = StackModel()
+        stack.push_frame(100)
+        version = stack.version
+        if op == "push":
+            stack.push_frame(100)
+        else:
+            stack.pop_frame()
+        assert stack.version > version
 
 
 class TestCostModel:
