@@ -24,7 +24,7 @@ from repro.memsim.costs import DEFAULT_COSTS as COSTS
 from repro.memsim.heap import HeapModel
 from repro.memsim.meter import MemoryMeter, MemoryReport
 from repro.memsim.stack import StackModel
-from repro.runtime.marray import MArray
+from repro.runtime.marray import byte_size, numel
 
 MXARRAY_HEADER_BYTES = 88  # mcc 2.2's struct size (paper §4.4)
 
@@ -50,7 +50,10 @@ class _Box:
 class MccMeter:
     """Prices an :class:`~repro.vm.base.Engine` run as mcc code."""
 
-    __slots__ = ("clock", "heap", "stack", "memory", "_box_of", "_dead_temps")
+    __slots__ = (
+        "clock", "heap", "stack", "memory", "_box_of", "_temps",
+        "_dead_temps",
+    )
 
     def __init__(self, func: IRFunction) -> None:
         self.clock = 0.0
@@ -66,6 +69,9 @@ class MccMeter:
             ),
         )
         self._box_of: dict[str, _Box] = {}
+        #: the compiler temporaries in ``_box_of``, in its (insertion)
+        #: order, which decides the order of their frees
+        self._temps: dict[str, None] = {}
         # per block, the compiler temporaries ("$" names) not live out
         live_out = compute_liveness(func).live_out
         temps = {
@@ -98,16 +104,22 @@ class MccMeter:
 
     # -- box management ----------------------------------------------------
 
-    def _allocate_box(self, name: str, value: MArray) -> None:
-        self._box_of[name] = _Box(
-            self.heap.malloc(MXARRAY_HEADER_BYTES + value.byte_size())
-        )
+    def _bind(self, name: str, box: _Box) -> None:
+        self._box_of[name] = box
+        if "$" in name:
+            self._temps[name] = None
+
+    def _allocate_box(self, name: str, value) -> None:
+        self._bind(name, _Box(
+            self.heap.malloc(MXARRAY_HEADER_BYTES + byte_size(value))
+        ))
         self.clock += COSTS.mxarray_create + COSTS.malloc_call
 
     def _release(self, name: str) -> None:
         box = self._box_of.pop(name, None)
         if box is None:
             return
+        self._temps.pop(name, None)
         box.refs -= 1
         if box.refs == 0:
             self.heap.free(box.addr)
@@ -133,9 +145,9 @@ class MccMeter:
             1, len(instr.args)
         )
         element_op = COSTS.element_op
-        meter, box_of, release, allocate, sample = (
-            self, self._box_of, self._release, self._allocate_box,
-            self.memory.sample,
+        meter, box_of, bind, release, allocate, sample = (
+            self, self._box_of, self._bind, self._release,
+            self._allocate_box, self.memory.sample,
         )
         if instr.is_call or op in ("subsref", "subsasgn", "display") or (
             len(names) != 1
@@ -173,14 +185,14 @@ class MccMeter:
             value = results[0]
             if name in box_of:
                 release(name)  # reassignment frees the old value
-            if value.data.size == 1 and scalar_args(args):
+            if numel(value) == 1 and scalar_args(args):
                 # lives in a C double, not an mxArray
                 meter.clock += element_op * work
             else:
                 src_box = box_of.get(shared)
                 if src_box is not None:
                     src_box.refs += 1
-                    box_of[name] = src_box
+                    bind(name, src_box)
                     meter.clock += cow_share
                 else:
                     allocate(name, value)
@@ -197,8 +209,8 @@ class MccMeter:
         # after their last use (§4.4) — compiler temporaries, in our
         # IR.  *Named* user variables persist until reassigned.
         dead = self._dead_temps[block_id]
-        if dead:
-            for name in [n for n in self._box_of if n in dead]:
+        if dead and self._temps:
+            for name in [n for n in self._temps if n in dead]:
                 self._release(name)
         self.memory.sample(self.clock)
 
@@ -211,15 +223,13 @@ def _all_scalar(arity: int):
     if arity == 0:
         return lambda args: True
     if arity == 1:
-        return lambda args: args[0].data.size == 1
+        return lambda args: numel(args[0]) == 1
     if arity == 2:
-        return lambda args: (
-            args[0].data.size == 1 and args[1].data.size == 1
-        )
+        return lambda args: numel(args[0]) == 1 and numel(args[1]) == 1
 
     def all_scalar(args):
         for a in args:
-            if a.data.size != 1:
+            if numel(a) != 1:
                 return False
         return True
 

@@ -30,7 +30,7 @@ from repro.memsim.costs import DEFAULT_COSTS as COSTS
 from repro.memsim.heap import HeapModel
 from repro.memsim.meter import MemoryMeter, MemoryReport
 from repro.memsim.stack import StackModel
-from repro.runtime.marray import MArray
+from repro.runtime.marray import byte_size, numel
 
 #: fixed text+data of a mat2c binary, plus per-instruction inlined code
 MAT2C_IMAGE_BASE = 400 * 1024
@@ -147,7 +147,7 @@ class Mat2CMeter:
             per_element = COSTS.element_copy
 
             def price(args, results, work):
-                meter.clock += per_element * results[0].data.size + 2.0
+                meter.clock += per_element * numel(results[0]) + 2.0
                 sample(meter.clock)
         elif op in ("subsref", "subsasgn"):
             per_work = (
@@ -181,8 +181,8 @@ class Mat2CMeter:
         checked = mark != NO_RESIZE
         shrinks = mark == MAY_RESIZE
 
-        def define(value: MArray) -> None:
-            need = value.byte_size()
+        def define(value) -> None:
+            need = byte_size(value)
             buffer = buffers.get(gid)
             if buffer is None:
                 addr = heap.malloc(max(need, 8))

@@ -3,13 +3,15 @@
 This is the cost both compilation models share — the actual numeric
 work — so :class:`repro.vm.base.Engine` computes it once per executed
 instruction and hands it to every meter.  What distinguishes mat2c
-and mcc is the *overhead* each meter adds around it.
+and mcc is the *overhead* each meter adds around it.  Sizes are read
+through :func:`~repro.runtime.marray.numel`, so an unboxed scalar
+operand counts one element, as its boxed form does.
 """
 
 from __future__ import annotations
 
 from repro.ir.instr import Instr
-from repro.runtime.marray import MArray
+from repro.runtime.marray import MArray, numel
 
 _CHEAP_CALLS = frozenset(
     {"size", "numel", "length", "ndims", "isempty", "isreal", "tic", "toc"}
@@ -41,7 +43,7 @@ _SLOWISH_CALLS = frozenset({"sqrt", "norm", "mod", "rem"})
 _SLOWISH_COST = 25.0
 
 
-def computation_work(instr: Instr, args: list, results: list[MArray]) -> float:
+def computation_work(instr: Instr, args: list, results: list) -> float:
     """Approximate scalar-operation count for the instruction."""
     return work_function(instr)(args, results)
 
@@ -79,11 +81,11 @@ def _unit_work(args, results) -> float:
 
 def _plain_work(args, results) -> float:
     if len(results) == 1:
-        return float(results[0].data.size)
+        return float(numel(results[0]))
     if results:
-        return float(max(r.numel for r in results))
-    if args and isinstance(args[0], MArray):
-        return float(args[0].numel)
+        return float(max(numel(r) for r in results))
+    if args:
+        return float(numel(args[0]))
     return 1.0
 
 
@@ -110,20 +112,17 @@ def _solve_work(args, results) -> float:
 
 
 def _store_work(args, results) -> float:
-    rhs = args[1] if len(args) > 1 else None
-    moved = rhs.numel if isinstance(rhs, MArray) else 1
-    if results and results[0].numel > args[0].numel:
-        moved += results[0].numel  # expansion copies the old array
+    moved = numel(args[1]) if len(args) > 1 else 1
+    if results and numel(results[0]) > numel(args[0]):
+        moved += numel(results[0])  # expansion copies the old array
     return float(moved)
 
 
 def _call_work(args, results, per_element: float | None) -> float:
     if not args:
         return _plain_work(args, results)
-    input_elems = max(
-        (a.numel for a in args if isinstance(a, MArray)), default=1
-    )
-    output_elems = max((r.numel for r in results), default=1)
+    input_elems = max(numel(a) for a in args)
+    output_elems = max((numel(r) for r in results), default=1)
     elems = float(max(input_elems, output_elems))
     if per_element is None:
         return elems
@@ -132,5 +131,5 @@ def _call_work(args, results, per_element: float | None) -> float:
 
 def _power_work(args, results) -> float:
     return float(
-        max((r.numel for r in results), default=1)
+        max((numel(r) for r in results), default=1)
     ) * _TRANSCENDENTAL_COST

@@ -4,8 +4,10 @@
 (mat2c, mcc, the interpreter and mat2c without GCTD), the output digest,
 step count, every :class:`~repro.memsim.MemoryReport` field, mallocs and
 frees.  The benchmark's correctness gate checks all 11 programs; this
-test checks adpt (stack groups only) and nb1d (heap groups) so that a
-local test run catches a moved bit too.  It only reads the file.
+test checks adpt (stack groups only), nb1d (heap groups), fdtd (whose
+rank-3 1×1×1 values the executors keep boxed) and fiff (the most
+scalar traffic) so that a local test run catches a moved bit too.  It
+only reads the file.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ def _record(result) -> dict:
     return record
 
 
-@pytest.mark.parametrize("name", ["adpt", "nb1d"])
+@pytest.mark.parametrize("name", ["adpt", "nb1d", "fdtd", "fiff"])
 def test_modelled_results_match_the_golden_file(name):
     on = compile_benchmark(name)
     off = compile_benchmark(
