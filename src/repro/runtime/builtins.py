@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError
-from repro.runtime.marray import MArray
+from repro.runtime.marray import MArray, box, unbox
 
 
 @dataclass(slots=True)
@@ -56,6 +56,15 @@ def call_builtin(ctx, name, args, nargout=1) -> list[MArray]:
     if fn is None:
         raise MatlabRuntimeError(f"unknown builtin {name!r}")
     return fn(ctx, args, nargout)
+
+
+def call_builtin_unboxed(ctx, name, args, nargout=1) -> list:
+    """:func:`call_builtin` on unboxed arguments (see
+    :func:`~repro.runtime.marray.unbox`), with unboxed results."""
+    return [
+        unbox(r)
+        for r in call_builtin(ctx, name, [box(a) for a in args], nargout)
+    ]
 
 
 def _dims_from_args(args: list[MArray]) -> tuple[int, ...]:
