@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.analysis.availability import compute_availability
 from repro.analysis.liveness import compute_liveness
 from repro.ir.cfg import IRFunction
-from repro.ir.instr import Instr, Var
+from repro.ir.instr import Branch, Instr, Var
 
 
 class InterferenceGraph:
@@ -133,8 +133,13 @@ def build_interference_graph(
 
     for bid in func.block_order():
         block = func.blocks[bid]
-        # live ∧ available at block end
+        # live ∧ available at block end, plus the branch condition,
+        # which is read after every definition below (the φ parallel
+        # copies included)
         current = avail.available_at_end(bid, live.live_out[bid])
+        term = block.terminator
+        if isinstance(term, Branch) and isinstance(term.condition, Var):
+            current.add(term.condition.name)
 
         # SSA inversion will materialize each successor's φs as a
         # *parallel copy* at this block's end.  A φ-destination is

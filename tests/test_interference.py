@@ -385,3 +385,26 @@ class TestColoring:
         bad = Coloring(color_of={"a": 0, "b": 0}, num_colors=1)
         with pytest.raises(AssertionError):
             verify_coloring(g, bad)
+
+
+def test_branch_condition_interferes_with_later_definitions():
+    # CSE merges the `if` condition with the dead `u > 0.5` of the first
+    # `&&`, so the condition is defined well before the branch reads it
+    func, _ = prepare(
+        "s = rand(1); u = rand(1);\n"
+        "t = (u > 0.5 && s < 0.5);\n"
+        "t = (s > 0.5 && s < 0.5);\n"
+        "s = t + 1;\n"
+        "if u > 0.5\n s = 2;\nend\ndisp(s);"
+    )
+    graph, _ = build_interference_graph(func)
+    block = next(
+        b for b in func.blocks.values()
+        if getattr(b.terminator, "condition", None) is not None
+    )
+    condition = block.terminator.condition.name
+    defined = [r for instr in block.instrs for r in instr.results]
+    later = defined[defined.index(condition) + 1:]
+    assert later
+    for name in later:
+        assert graph.interferes(condition, name), name
