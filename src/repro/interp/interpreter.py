@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.frontend import ast_nodes as ast
 from repro.frontend.source import MatlabError
 from repro.ir.instr import AST_BINOP_TO_IR
@@ -53,7 +51,7 @@ from repro.runtime.marray import (
     numel,
     unbox,
 )
-from repro.runtime.names import BUILTIN_NAMES, CONSTANT_BUILTINS
+from repro.runtime.names import BUILTIN_NAMES, CONSTANT_VALUES
 
 #: a -nojvm MATLAB 6.1 process image
 INTERP_IMAGE_BYTES = 11 * 1024 * 1024
@@ -84,15 +82,6 @@ _BINOPS = {
     if symbol not in ("&&", "||")  # short-circuit: evaluated in place
 }
 
-_CONSTANTS = {
-    "pi": np.pi,
-    "eps": 2.220446049250313e-16,
-    "Inf": np.inf,
-    "inf": np.inf,
-    "NaN": np.nan,
-    "nan": np.nan,
-}
-
 
 @dataclass(slots=True)
 class InterpResult:
@@ -119,6 +108,9 @@ class Interpreter:
         self._heap_weighted = 0.0
         self._last_sample = 0.0
         self._call_depth = 0
+        #: ``(base, position, count)`` of the subscript being evaluated,
+        #: which an ``end`` refers to
+        self._end = None
 
     # ------------------------------------------------------------------
 
@@ -158,6 +150,7 @@ class Interpreter:
         if self._call_depth > 128:
             raise InterpreterError("call depth limit exceeded")
         self._call_depth += 1
+        outer_end, self._end = self._end, None
         scope: dict[str, Value] = {}
         for param, arg in zip(func.inputs, args):
             scope[param] = arg
@@ -167,6 +160,7 @@ class Interpreter:
             pass
         finally:
             self._call_depth -= 1
+            self._end = outer_end
         return scope
 
     def _call_user(self, name: str, args: list[Value],
@@ -288,6 +282,8 @@ class Interpreter:
     # -- expressions ----------------------------------------------------
 
     def _eval(self, expr: ast.Expr, scope, statement: bool = False) -> Value:
+        if expr.__class__ is ast.EndMarker:
+            return self._end_value()  # free, like a subscript's spine
         self._tick(self.costs.interp_dispatch * 0.1)
         if isinstance(expr, ast.Num):
             if expr.is_imag:
@@ -336,13 +332,13 @@ class Interpreter:
         self._tick(self.costs.interp_name_lookup)
         if name in scope:
             return scope[name]
-        if name in _CONSTANTS:
-            return _CONSTANTS[name]
+        if name in CONSTANT_VALUES:
+            return CONSTANT_VALUES[name]
         if name in ("i", "j"):
             return MArray.from_scalar(1j)
         if name in self.program.functions:
             return self._call_user(name, [], 1)[0]
-        if name in BUILTIN_NAMES and name not in CONSTANT_BUILTINS:
+        if name in BUILTIN_NAMES:
             return call_builtin_unboxed(self.ctx, name, [], 1)[0]
         raise MatlabRuntimeError(f"undefined name {name!r}")
 
@@ -426,52 +422,51 @@ class Interpreter:
     def _eval_subscripts(self, arg_exprs, base, scope) -> list:
         subs = []
         count = len(arg_exprs)
+        outer_end = self._end
         for position, arg in enumerate(arg_exprs, start=1):
             if isinstance(arg, ast.ColonAll):
                 subs.append(COLON)
             else:
-                subs.append(
-                    self._eval_with_end(arg, base, position, count, scope)
-                )
+                self._end = (base, position, count)
+                subs.append(self._eval_subscript(arg, scope))
+        self._end = outer_end
         return subs
 
-    def _eval_with_end(self, expr, base, position, count, scope):
-        """Evaluate a subscript, resolving `end` against the base."""
-        if isinstance(expr, ast.EndMarker):
-            if count == 1:
-                return float(numel(base))
-            shape = box(base).shape
-            extent = shape[position - 1] if position <= len(shape) else 1
-            return float(extent)
-        if isinstance(expr, ast.BinaryOp):
-            left = self._eval_with_end(
-                expr.left, base, position, count, scope
-            )
-            right = self._eval_with_end(
-                expr.right, base, position, count, scope
-            )
+    def _eval_subscript(self, expr, scope):
+        """Evaluate a subscript.  Its spine of ranges and of unary and
+        binary operators other than ``&&``/``||`` costs nothing; every
+        other node goes through :meth:`_eval`."""
+        if isinstance(expr, ast.BinaryOp) and expr.op in _BINOPS:
+            left = self._eval_subscript(expr.left, scope)
+            right = self._eval_subscript(expr.right, scope)
             return _BINOPS[expr.op](left, right)
         if isinstance(expr, ast.UnaryOp):
-            operand = self._eval_with_end(
-                expr.operand, base, position, count, scope
-            )
+            operand = self._eval_subscript(expr.operand, scope)
             return boxed_call(
                 ops.neg if expr.op == "-" else ops.not_, (operand,)
             )
         if isinstance(expr, ast.Range):
-            start = self._eval_with_end(
-                expr.start, base, position, count, scope
-            )
+            start = self._eval_subscript(expr.start, scope)
             step = (
-                self._eval_with_end(expr.step, base, position, count, scope)
+                self._eval_subscript(expr.step, scope)
                 if expr.step is not None
                 else 1.0
             )
-            stop = self._eval_with_end(
-                expr.stop, base, position, count, scope
-            )
+            stop = self._eval_subscript(expr.stop, scope)
             return boxed_call(ops.make_range, (start, step, stop))
         return self._eval(expr, scope)
+
+    def _end_value(self) -> float:
+        """``end``: the extent of the subscripted array in the
+        subscript's position, or its element count for one subscript."""
+        if self._end is None:
+            raise InterpreterError("'end' used outside indexing")
+        base, position, count = self._end
+        if count == 1:
+            return float(numel(base))
+        shape = box(base).shape
+        extent = shape[position - 1] if position <= len(shape) else 1
+        return float(extent)
 
 
 def interpret(

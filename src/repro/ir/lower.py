@@ -39,7 +39,7 @@ from repro.ir.instr import (
     StrConst,
     Var,
 )
-from repro.runtime.names import BUILTIN_NAMES, CONSTANT_BUILTINS
+from repro.runtime.names import BUILTIN_NAMES, CONSTANT_VALUES
 
 _MAX_INLINE_DEPTH = 64
 
@@ -421,18 +421,8 @@ class Lowerer:
         name = expr.name
         if name in self._scope.assigned:
             return Var(self._local(name))
-        if name in CONSTANT_BUILTINS:
-            import math
-
-            table = {
-                "pi": math.pi,
-                "eps": 2.220446049250313e-16,
-                "Inf": math.inf,
-                "inf": math.inf,
-                "NaN": math.nan,
-                "nan": math.nan,
-            }
-            return Const(complex(table[name], 0.0))
+        if name in CONSTANT_VALUES:
+            return Const(complex(CONSTANT_VALUES[name], 0.0))
         if name in ("i", "j"):
             return Const(complex(0.0, 1.0))
         if self._is_user_function(name) or name in BUILTIN_NAMES:

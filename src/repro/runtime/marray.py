@@ -130,11 +130,11 @@ class MArray:
         """Elements in column-major order."""
         return self.data.flatten(order="F")
 
-    def byte_size(self, logical_bytes: int = 4) -> int:
+    def byte_size(self) -> int:
         """Payload bytes under the C translation's representation."""
         size = self.data.size
         if self.is_logical:
-            return size * logical_bytes
+            return size * 4
         if self.is_char:
             return size
         if self.is_complex:
@@ -194,8 +194,9 @@ def unbox(value):
 
 
 def box(value):
-    """The :class:`MArray` of an unboxed value: what the scalar paths of
-    :mod:`repro.runtime.ops` build for it; any other value unchanged."""
+    """The :class:`MArray` of an unboxed value: what the ops of
+    :mod:`repro.runtime.ops` build for a 1×1 result; any other value
+    unchanged."""
     cls = value.__class__
     if cls is float:
         return MArray(np.array(value, ndmin=2))

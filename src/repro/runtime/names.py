@@ -7,6 +7,8 @@ implementation (which would create an import cycle).
 
 from __future__ import annotations
 
+import math
+
 # Builtins that behave like ordinary functions returning one value.
 VALUE_BUILTINS = frozenset(
     {
@@ -78,8 +80,16 @@ MULTI_BUILTINS = frozenset({"size", "sort", "min", "max", "find"})
 # Builtins executed for effect.
 EFFECT_BUILTINS = frozenset({"disp", "fprintf", "error", "tic"})
 
-# Named constants that look like variables in source.
-CONSTANT_BUILTINS = frozenset({"pi", "eps", "Inf", "inf", "NaN", "nan"})
+# Named constants that look like variables in source, with their values.
+CONSTANT_VALUES = {
+    "pi": math.pi,
+    "eps": 2.220446049250313e-16,
+    "Inf": math.inf,
+    "inf": math.inf,
+    "NaN": math.nan,
+    "nan": math.nan,
+}
+CONSTANT_BUILTINS = frozenset(CONSTANT_VALUES)
 
 BUILTIN_NAMES = (
     VALUE_BUILTINS | MULTI_BUILTINS | EFFECT_BUILTINS | CONSTANT_BUILTINS

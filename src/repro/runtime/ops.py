@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError, ShapeConformanceError
-from repro.runtime.marray import REAL, MArray, boxed_call
+from repro.runtime.marray import MArray, boxed_call
 
 
 def _conform(a: MArray, b: MArray, op: str) -> None:
@@ -30,40 +30,8 @@ def _wrap(result: np.ndarray, logical: bool = False) -> MArray:
     return MArray.from_numpy(result, is_logical=logical)
 
 
-def _scalar_pair(a: MArray, b: MArray):
-    """``(x, y, ndim)`` when both operands are 1×1 REAL: their values
-    as Python floats and the rank of the result, else None."""
-    x, y = a.data, b.data
-    if x.size == 1 and y.size == 1 and x.dtype is REAL and y.dtype is REAL:
-        return x.item(), y.item(), max(x.ndim, y.ndim)
-    return None
-
-
-def _elementwise(a: MArray, b: MArray, fn, op: str, floats: bool = True,
-                 quiet: bool = False) -> MArray:
-    """``fn`` elementwise; a scalar operand broadcasts.
-
-    Two 1×1 REAL operands take the local-array-folding fast path:
-    ``fn`` runs on Python floats, whose ``+ - * /`` and comparisons are
-    the same IEEE operations numpy performs.  ``floats=False`` keeps an
-    op on numpy (powers), and so does a division by zero, which Python
-    raises where numpy gives inf or nan.  ``quiet`` silences numpy's
-    divide and invalid warnings.
-    """
-    pair = _scalar_pair(a, b) if floats else None
-    if pair is not None:
-        x, y, ndim = pair
-        try:
-            return MArray(np.array(fn(x, y), ndmin=ndim))
-        except ZeroDivisionError:
-            pass
-    if quiet:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _broadcast(a, b, fn, op)
-    return _broadcast(a, b, fn, op)
-
-
-def _broadcast(a: MArray, b: MArray, fn, op: str) -> MArray:
+def _elementwise(a: MArray, b: MArray, fn, op: str) -> MArray:
+    """``fn`` elementwise; a scalar operand broadcasts."""
     _conform(a, b, op)
     if a.is_scalar and not b.is_scalar:
         return _wrap(fn(a.scalar() if a.is_complex else a.scalar_real(),
@@ -87,11 +55,13 @@ def elmul(a: MArray, b: MArray) -> MArray:
 
 
 def eldiv(a: MArray, b: MArray) -> MArray:
-    return _elementwise(a, b, lambda x, y: x / y, "./", quiet=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _elementwise(a, b, lambda x, y: x / y, "./")
 
 
 def elldiv(a: MArray, b: MArray) -> MArray:
-    return _elementwise(a, b, lambda x, y: y / x, ".\\", quiet=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _elementwise(a, b, lambda x, y: y / x, ".\\")
 
 
 def elpow(a: MArray, b: MArray) -> MArray:
@@ -99,7 +69,7 @@ def elpow(a: MArray, b: MArray) -> MArray:
         result = np.power(x.astype(complex) if _needs_complex(x, y) else x, y)
         return result
 
-    return _elementwise(a, b, fn, ".^", floats=False)
+    return _elementwise(a, b, fn, ".^")
 
 
 def _needs_complex(x, y) -> bool:
@@ -165,10 +135,6 @@ def transpose(a: MArray, conjugate: bool) -> MArray:
 
 
 def _compare(a: MArray, b: MArray, fn, op: str) -> MArray:
-    pair = _scalar_pair(a, b)
-    if pair is not None:
-        x, y, ndim = pair
-        return _logical_scalar(fn(x, y), ndim)
     _conform(a, b, op)
     x = a.data.real if a.is_complex else a.data
     y = b.data.real if b.is_complex else b.data
@@ -177,10 +143,6 @@ def _compare(a: MArray, b: MArray, fn, op: str) -> MArray:
     if b.is_scalar and not a.is_scalar:
         y = y.flat[0]
     return _wrap(fn(x, y), logical=True)
-
-
-def _logical_scalar(value: bool, ndim: int) -> MArray:
-    return MArray(np.array(float(value), ndmin=ndim), is_logical=True)
 
 
 def lt(a, b):
@@ -200,10 +162,6 @@ def ge(a, b):
 
 
 def eq(a, b):
-    pair = _scalar_pair(a, b)
-    if pair is not None:
-        x, y, ndim = pair
-        return _logical_scalar(x == y, ndim)
     _conform(a, b, "==")
     if a.is_scalar and not b.is_scalar:
         return _wrap(b.data == a.scalar(), logical=True)
@@ -213,10 +171,6 @@ def eq(a, b):
 
 
 def ne(a, b):
-    pair = _scalar_pair(a, b)
-    if pair is not None:
-        x, y, ndim = pair
-        return _logical_scalar(x != y, ndim)
     _conform(a, b, "~=")
     if a.is_scalar and not b.is_scalar:
         return _wrap(b.data != a.scalar(), logical=True)
@@ -308,9 +262,9 @@ BINOPS = {
 }
 
 #: the binary IR ops whose two unboxed float operands (see
-#: :func:`~repro.runtime.marray.unbox`) compute as Python floats: the
-#: functions :func:`_elementwise` and :func:`_compare` apply to two 1×1
-#: REAL operands, so the result has the same bits.
+#: :func:`~repro.runtime.marray.unbox`) compute as Python floats:
+#: Python's ``+ - * /`` and comparisons are the IEEE operations numpy
+#: applies to two 1×1 REAL arrays, so the result has the boxed op's bits.
 FLOAT_BINOPS = {
     "add": operator.add,
     "sub": operator.sub,

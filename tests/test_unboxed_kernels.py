@@ -18,7 +18,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.interp import interpreter
 from repro.ir.instr import AST_BINOP_TO_IR, Instr, Var
-from repro.runtime import ops
+from repro.runtime import indexing, ops
 from repro.runtime.errors import MatlabRuntimeError
 from repro.runtime.indexing import (
     subsasgn,
@@ -135,11 +135,12 @@ def test_forindex_equals_the_boxed_op(start, step, counter):
 
 # -- scalar subscripts -----------------------------------------------------
 
-#: in range, one past each extent of a 3×3 array, non-integral, or no
-#: index at all; none far past the extents, because a store grows to it
+#: in range, at and one past the element count or each extent of the
+#: bases, non-integral, or no index at all; none far past the extents,
+#: because a store grows to it
 SUBSCRIPTS = [
-    1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 0.0, -0.0, -1.0, 0.5, 2.5,
-    math.inf, -math.inf, math.nan, True, False,
+    1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0, 10.0, 0.0, -0.0, -1.0, 0.5, 1.5,
+    2.5, math.inf, -math.inf, math.nan, True, False,
 ]
 subscripts = st.one_of(
     st.floats(min_value=-2, max_value=11), st.sampled_from(SUBSCRIPTS)
@@ -153,7 +154,11 @@ BASES = [
     for cols in range(4)
 ] + [
     MArray.from_numpy(np.array([[True, False]])),
+    MArray.from_numpy(np.array([[True, False], [False, True]])),
+    # a logical −0.0 is read as a boxed 1×1 logical, as unbox leaves it
+    MArray(np.array([[-0.0, 1.0, 0.0]]), is_logical=True),
     MArray.from_string("abc"),
+    MArray(np.asfortranarray([[97.0, 98.0], [99.0, 100.0]]), is_char=True),
     MArray(np.full((2, 1, 2), -0.0, order="F")),
     MArray.from_numpy(np.array([[1 + 2j, 3.0]])),
     7.0,
@@ -212,6 +217,24 @@ def test_subsref_equals_the_boxed_op(a, subs):
 )
 def test_subsasgn_equals_the_boxed_op(a, rhs, subs):
     check_subsasgn(a, rhs, subs)
+
+
+def test_scalar_subscripts_in_range_never_box(monkeypatch):
+    def boxed(*args):
+        raise AssertionError("took the boxed op")
+
+    monkeypatch.setattr(indexing, "subsref", boxed)
+    monkeypatch.setattr(indexing, "subsasgn", boxed)
+    row = MArray.from_numpy(np.array([[1.0, 2.0, 3.0]]))
+    assert subsasgn_unboxed(row, 9.0, [3.0]).data.tolist() == [[1, 2, 9]]
+    assert subsasgn_unboxed(row, 9.0, [1.0, 2.0]).data.tolist() == [
+        [1, 9, 3]
+    ]
+    assert_same(subsref_unboxed(MArray.from_string("ab"), [2.0]),
+                MArray.from_string("b"))
+    logical = MArray.from_numpy(np.array([[True, False], [False, True]]))
+    assert subsref_unboxed(logical, [4.0]) is True
+    assert subsref_unboxed(logical, [2.0, 1.0]) is False
 
 
 # -- the representation ----------------------------------------------------
