@@ -158,7 +158,7 @@ class CompilationResult:
     def run_interpreter(
         self, ctx: RuntimeContext | None = None
     ) -> InterpResult:
-        """Execute under the tree-walking interpreter (semantic oracle)."""
+        """Execute under the AST interpreter (semantic oracle)."""
         return interpret(
             self.program, ctx, max_steps=self.options.max_steps
         )

@@ -1,7 +1,7 @@
 """Differential-execution harness: the plan's dynamic cross-check.
 
 Runs one compiled program under every execution model the repo has —
-the tree-walking interpreter (the semantic oracle), one name-keyed VM
+the AST interpreter (the semantic oracle), one name-keyed VM
 evaluation priced by both the mat2c and the mcc meter (so those two
 share their output by construction), and the storage-aliased mat2c
 run — and diffs the printed outputs.  The aliased run is the sharp
