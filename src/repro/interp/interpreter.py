@@ -252,6 +252,8 @@ class _Compiler:
         #: ``end`` markers compiled so far: a subscript holds one when
         #: compiling it moved the count
         self.ends = 0
+        #: the loops around the statement being compiled
+        self.loops = 0
 
     def compile_functions(self) -> dict:
         return {
@@ -400,9 +402,16 @@ class _Compiler:
 
         return if_
 
+    def loop_body(self, body: list[ast.Stmt]):
+        self.loops += 1
+        try:
+            return self.block(body)
+        finally:
+            self.loops -= 1
+
     def while_(self, stmt: ast.While):
         cond = self.expr(stmt.condition)
-        body = self.block(stmt.body)
+        body = self.loop_body(stmt.body)
 
         def while_(scope):
             while is_true(cond(scope)):
@@ -417,7 +426,7 @@ class _Compiler:
 
     def for_(self, stmt: ast.For):
         iterable = self.expr(stmt.iterable)
-        body = self.block(stmt.body)
+        body = self.loop_body(stmt.body)
         var = stmt.var
 
         def for_(scope):
@@ -435,6 +444,11 @@ class _Compiler:
         return for_
 
     def signal(self, stmt: ast.Stmt):
+        """``break``, ``continue`` or ``return``; lowering's refusal of
+        the first two outside a loop is made here too."""
+        if not self.loops and stmt.__class__ is not ast.Return:
+            keyword = "break" if stmt.__class__ is ast.Break else "continue"
+            raise InterpreterError(f"{keyword!r} outside a loop")
         signal = _SIGNALS[stmt.__class__]
 
         def raise_signal(scope):

@@ -24,7 +24,7 @@ from repro.memsim.costs import DEFAULT_COSTS as COSTS
 from repro.memsim.heap import HeapModel
 from repro.memsim.meter import MemoryMeter, MemoryReport
 from repro.memsim.stack import StackModel
-from repro.runtime.marray import byte_size, numel
+from repro.runtime.marray import MArray, byte_size
 
 MXARRAY_HEADER_BYTES = 88  # mcc 2.2's struct size (paper §4.4)
 
@@ -101,6 +101,7 @@ class MccMeter:
         self.stack.pop_frame()
         self.clock += 1.0
         self.memory.sample(self.clock)
+        self.memory.close()
 
     # -- box management ----------------------------------------------------
 
@@ -127,6 +128,7 @@ class MccMeter:
 
     def branch(self) -> None:
         self.clock += COSTS.branch
+        self.memory.flush_if_full()
 
     def decode(self, instr: Instr):
         """The function that prices one execution of ``instr``.
@@ -153,6 +155,18 @@ class MccMeter:
             len(names) != 1
         ):
             # a library call: every result is a fresh mxArray
+            if len(names) == 1:
+                (name,) = names
+
+                def call_price(args, results, work):
+                    if name in box_of:
+                        release(name)  # reassignment frees the old value
+                    allocate(name, results[0])
+                    meter.clock += overhead + element_op * work
+                    sample(meter.clock)
+
+                return call_price
+
             def price(args, results, work):
                 for name, value in zip(names, results):
                     if name in box_of:
@@ -185,7 +199,9 @@ class MccMeter:
             value = results[0]
             if name in box_of:
                 release(name)  # reassignment frees the old value
-            if numel(value) == 1 and scalar_args(args):
+            if (
+                value.__class__ is not MArray or value.data.size == 1
+            ) and scalar_args(args):
                 # lives in a C double, not an mxArray
                 meter.clock += element_op * work
             else:
@@ -213,23 +229,35 @@ class MccMeter:
             for name in [n for n in self._temps if n in dead]:
                 self._release(name)
         self.memory.sample(self.clock)
+        self.memory.flush_if_full()
 
     def report(self) -> MemoryReport:
         return self.memory.report()
 
 
 def _all_scalar(arity: int):
-    """``args → bool``: are all ``arity`` operands scalars?"""
+    """``args → bool``: are all ``arity`` operands scalars?  An unboxed
+    value is one; an :class:`MArray` when it has one element."""
     if arity == 0:
         return lambda args: True
     if arity == 1:
-        return lambda args: numel(args[0]) == 1
+        def one_scalar(args):
+            a = args[0]
+            return a.__class__ is not MArray or a.data.size == 1
+
+        return one_scalar
     if arity == 2:
-        return lambda args: numel(args[0]) == 1 and numel(args[1]) == 1
+        def two_scalars(args):
+            a, b = args
+            return (a.__class__ is not MArray or a.data.size == 1) and (
+                b.__class__ is not MArray or b.data.size == 1
+            )
+
+        return two_scalars
 
     def all_scalar(args):
         for a in args:
-            if numel(a) != 1:
+            if a.__class__ is MArray and a.data.size != 1:
                 return False
         return True
 

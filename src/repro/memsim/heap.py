@@ -5,14 +5,15 @@ Addresses are byte offsets into a simulated heap segment that grows in
 segment's high watermark is what the virtual-memory size reports.
 Resident-set accounting marks pages on first touch.
 
-``version`` counts the changes a memory meter can see: every
-``malloc`` and ``free`` (so a ``realloc`` that moves), and every touch
-that adds pages.  A meter re-reads the heap only when it has moved.
+``before_change`` is called before every change a memory meter can
+see: every ``malloc`` and ``free`` (so a ``realloc`` that moves), and
+every touch that may add pages.  A meter records the heap's state there.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -22,6 +23,10 @@ _ALIGN = 8
 
 class SimulationError(RuntimeError):
     pass
+
+
+def unmetered() -> None:
+    """The change hook of a model no meter reads."""
 
 
 @dataclass(slots=True)
@@ -39,12 +44,14 @@ class HeapModel:
     touched_pages: set[int] = field(default_factory=set)
     malloc_count: int = 0
     free_count: int = 0
-    version: int = 0
+    before_change: Callable[[], None] = field(
+        default=unmetered, repr=False, compare=False
+    )
 
     def malloc(self, size: int) -> int:
         size = max(_ALIGN, (size + _ALIGN - 1) // _ALIGN * _ALIGN)
+        self.before_change()
         self.malloc_count += 1
-        self.version += 1
         for i, block in enumerate(self.free_list):
             if block.size >= size:
                 addr = block.addr
@@ -69,8 +76,8 @@ class HeapModel:
         size = self.allocations.pop(addr, None)
         if size is None:
             raise SimulationError(f"free of unallocated address {addr}")
+        self.before_change()
         self.free_count += 1
-        self.version += 1
         self.live_bytes -= size
         self._insert_free(_FreeBlock(addr, size))
 
@@ -103,6 +110,8 @@ class HeapModel:
             free.insert(i, block)
 
     def _touch(self, addr: int, size: int) -> int:
+        """Mark the pages of ``[addr, addr + size)`` touched; the caller
+        has called ``before_change``."""
         first = addr // PAGE_SIZE
         last = (addr + max(size, 1) - 1) // PAGE_SIZE
         touched = self.touched_pages
@@ -110,17 +119,14 @@ class HeapModel:
             if first in touched:
                 return 0
             touched.add(first)
-            self.version += 1
             return 1
         before = len(touched)
         touched.update(range(first, last + 1))
-        added = len(touched) - before
-        if added:
-            self.version += 1
-        return added
+        return len(touched) - before
 
     def touch_bytes(self, addr: int, size: int) -> int:
         """Public touch (e.g. writing into an existing allocation)."""
+        self.before_change()
         return self._touch(addr, size)
 
     # -- accounting -----------------------------------------------------

@@ -4,15 +4,17 @@ The stack segment starts at one page (8 KB) holding the process
 environment — the paper measured exactly this on Solaris 7 — and grows
 in page units with the high watermark of pushed frames.  mcc-style
 codes keep small frames (pointers only); mat2c frames carry the
-stack-allocated array groups of §3.2.1.  ``version`` counts pushed
-and popped frames, the only changes a memory meter can see.
+stack-allocated array groups of §3.2.1.  ``before_change`` is called
+before a frame is pushed or popped, the only changes a memory meter
+can see.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.memsim.heap import PAGE_SIZE
+from repro.memsim.heap import PAGE_SIZE, unmetered
 
 #: the initial environment frame (argv, environ, …)
 INITIAL_STACK_BYTES = PAGE_SIZE
@@ -24,10 +26,12 @@ class StackModel:
     depth_bytes: int = INITIAL_STACK_BYTES
     high_watermark: int = INITIAL_STACK_BYTES
     touched_pages: int = 1
-    version: int = 0
+    before_change: Callable[[], None] = field(
+        default=unmetered, repr=False, compare=False
+    )
 
     def push_frame(self, frame_bytes: int) -> None:
-        self.version += 1
+        self.before_change()
         self.frames.append(frame_bytes)
         self.depth_bytes += frame_bytes
         if self.depth_bytes > self.high_watermark:
@@ -36,8 +40,8 @@ class StackModel:
         self.touched_pages = max(self.touched_pages, pages)
 
     def pop_frame(self) -> None:
+        self.before_change()
         self.depth_bytes -= self.frames.pop()
-        self.version += 1
 
     @property
     def segment_bytes(self) -> int:

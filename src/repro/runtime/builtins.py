@@ -68,12 +68,14 @@ def call_builtin_unboxed(ctx, name, args, nargout=1) -> list:
 
 
 def _dims_from_args(args: list[MArray]) -> tuple[int, ...]:
+    """The extents a constructor's arguments ask for; a negative one
+    makes an empty dimension, as in MATLAB."""
     if not args:
         return (1, 1)
     if len(args) == 1:
-        n = args[0].scalar_int()
+        n = max(args[0].scalar_int(), 0)
         return (n, n)
-    return tuple(a.scalar_int() for a in args)
+    return tuple(max(a.scalar_int(), 0) for a in args)
 
 
 # -- constructors -------------------------------------------------------

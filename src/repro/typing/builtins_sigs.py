@@ -88,9 +88,18 @@ def _constructor_shape(args: list[ArgView]) -> Shape:
     if not args:
         return Shape.scalar()
     if len(args) == 1:
-        d = args[0].as_dim()
+        d = _extent(args[0])
         return Shape((d, d))
-    return Shape(tuple(a.as_dim() for a in args))
+    return Shape(tuple(_extent(a) for a in args))
+
+
+def _extent(arg: ArgView) -> Dim:
+    """A constructor's extent argument; a negative constant makes an
+    empty dimension, as in MATLAB."""
+    d = arg.as_dim()
+    if isinstance(d, ConstDim) and d.value < 0:
+        return ConstDim(0)
+    return d
 
 
 @handler("zeros")

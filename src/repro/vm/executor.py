@@ -85,9 +85,11 @@ class Mat2CMeter:
         self.stack.pop_frame()
         self.clock += 1.0
         self.memory.sample(self.clock)
+        self.memory.close()
 
     def branch(self) -> None:
         self.clock += COSTS.branch
+        self.memory.flush_if_full()
 
     def decode(self, instr: Instr):
         """The function that prices one execution of ``instr``, or None
@@ -147,8 +149,10 @@ class Mat2CMeter:
             per_element = COSTS.element_copy
 
             def price(args, results, work):
-                meter.clock += per_element * numel(results[0]) + 2.0
-                sample(meter.clock)
+                meter.clock = clock = (
+                    meter.clock + (per_element * numel(results[0]) + 2.0)
+                )
+                sample(clock)
         elif op in ("subsref", "subsasgn"):
             per_work = (
                 COSTS.subsref_compiled if op == "subsref"
@@ -156,22 +160,22 @@ class Mat2CMeter:
             )
 
             def price(args, results, work):
-                meter.clock += per_work * max(1.0, work)
-                sample(meter.clock)
+                meter.clock = clock = meter.clock + per_work * max(1.0, work)
+                sample(clock)
         elif op == "display" or (
             instr.is_call and instr.callee in ("disp", "fprintf")
         ):
             call = COSTS.library_call
 
             def price(args, results, work):
-                meter.clock += call + work
-                sample(meter.clock)
+                meter.clock = clock = meter.clock + (call + work)
+                sample(clock)
         else:
             per_work = COSTS.scalar_op
 
             def price(args, results, work):
-                meter.clock += per_work * work
-                sample(meter.clock)
+                meter.clock = clock = meter.clock + per_work * work
+                sample(clock)
         return price
 
     def _definer(self, gid: int, mark: str):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.memsim.costs import CLOCK_HZ, CostModel
 from repro.memsim.heap import PAGE_SIZE, HeapModel, SimulationError
+from repro.memsim import meter as meter_module
 from repro.memsim.meter import MemoryMeter, MemoryReport
 from repro.memsim.stack import INITIAL_STACK_BYTES, StackModel
 
@@ -381,68 +382,205 @@ def metered(heap, stack):
     )
 
 
+class _Flushing:
+    """Drives a meter and the reference over one trace, calling the
+    meter's ``flush_if_full`` where an executor's ``branch`` would."""
+
+    def __init__(self, heap, stack):
+        self.meter = MemoryMeter(heap, stack, 400 * 1024, 340 * 1024)
+        self.reference = ReferenceMeter(heap, stack, 400 * 1024, 340 * 1024)
+
+    def sample(self, clock, pick):
+        self.meter.sample(clock)
+        self.reference.sample(clock)
+        if pick % 5 == 0:
+            self.meter.flush_if_full()
+
+
+def _run_trace(trace, report_every=None):
+    """Apply ``trace``; returns the meter's and the reference's reports
+    at the end (and every ``report_every`` steps)."""
+    heap, stack = HeapModel(), StackModel()
+    meters = _Flushing(heap, stack)
+    got, want = [], []
+    clock = 0.0
+    for i, step in enumerate(trace, 1):
+        clock = apply_step(heap, stack, step, clock)
+        if step[0] == "sample":
+            meters.sample(clock, step[2])
+        if report_every and i % report_every == 0:
+            got.append(asdict(meters.meter.report()))
+            want.append(asdict(meters.reference.report()))
+    got.append(asdict(meters.meter.report()))
+    want.append(asdict(meters.reference.report()))
+    return got, want
+
+
+class TestMeterAcrossChunks:
+    """The integration in chunks and slices adds the same terms in the
+    same order as the sample-by-sample reference."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @seed(20030609)
+    @settings(max_examples=60, deadline=None)
+    @given(trace=TRACE_STEPS)
+    def test_small_chunks_are_bit_identical(self, chunk, trace):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(meter_module, "CHUNK", chunk)
+            got, want = _run_trace(trace, report_every=17)
+        assert got == want
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("trace_seed", range(6))
+    def test_long_traces_are_bit_identical(self, trace_seed):
+        import random
+
+        rng = random.Random(trace_seed)
+        kinds = [
+            "malloc", "free", "realloc", "touch", "push", "pop",
+        ] + ["sample"] * (6 + 4 * trace_seed)
+        trace = [
+            (
+                rng.choice(kinds),
+                rng.randrange(0, 3 * PAGE_SIZE + 1),
+                rng.randrange(0, 1001),
+            )
+            for _ in range(3 * meter_module.CHUNK + 517 * trace_seed)
+        ]
+        got, want = _run_trace(trace, report_every=2 * meter_module.CHUNK)
+        assert got == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 2048])
+    def test_a_sample_behind_the_clock_adds_nothing(self, chunk):
+        heap, stack = HeapModel(), StackModel()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(meter_module, "CHUNK", chunk)
+            meter = MemoryMeter(heap, stack, 0)
+            reference = ReferenceMeter(heap, stack, 0, 0)
+            for clock in (10.0, 4.0, 12.0, 11.0, 12.5):
+                meter.sample(clock)
+                reference.sample(clock)
+                heap.malloc(64)
+            report = meter.report()
+        assert report.execution_seconds == 12.5 / CLOCK_HZ
+        assert asdict(report) == asdict(reference.report())
+
+    @pytest.mark.parametrize("zero_dt_first", [True, False])
+    def test_a_state_no_advancing_sample_sees_is_no_peak(
+        self, zero_dt_first
+    ):
+        heap, stack = HeapModel(), StackModel()
+        meter = MemoryMeter(heap, stack, 0)
+        reference = ReferenceMeter(heap, stack, 0, 0)
+
+        def sample(clock):
+            meter.sample(clock)
+            reference.sample(clock)
+
+        sample(10.0)
+        if zero_dt_first:
+            sample(10.0)  # Δt = 0
+            addr = heap.malloc(100_000)
+        else:
+            addr = heap.malloc(100_000)
+            sample(10.0)  # Δt = 0, while the block is live
+        heap.free(addr)
+        sample(20.0)
+        report = meter.report()
+        assert report.peak_dynamic_kb == INITIAL_STACK_BYTES / 1024
+        assert asdict(report) == asdict(reference.report())
+
+
+def metered(heap, stack):
+    """Every model field a memory meter reads."""
+    return (
+        heap.live_bytes, heap.brk, len(heap.touched_pages),
+        stack.depth_bytes, stack.high_watermark, stack.touched_pages,
+    )
+
+
+def _hooked(heap, stack):
+    """Make both models log the metered fields at every hook call."""
+    seen = []
+    heap.before_change = stack.before_change = (
+        lambda: seen.append(metered(heap, stack))
+    )
+    return seen
+
+
 class TestVersionContract:
+    """A *version* of the models is their state between two changes to
+    a field a meter reads.  The models' ``before_change`` hook bumps
+    it: the hook is called before every such change, and still sees
+    the old version, which is the one a meter records."""
+
     @seed(20030609)
     @settings(max_examples=100, deadline=None)
     @given(TRACE_STEPS)
     def test_a_metered_change_bumps_a_version(self, trace):
         heap, stack = HeapModel(), StackModel()
+        seen = _hooked(heap, stack)
         for step in trace:
             before = metered(heap, stack)
-            versions = (heap.version, stack.version)
+            seen.clear()
             apply_step(heap, stack, step, 0.0)
             if metered(heap, stack) != before:
-                assert (heap.version, stack.version) != versions, step
+                assert seen and seen[0] == before, step
 
     @pytest.mark.parametrize("op", ["malloc", "free", "realloc_moves"])
     def test_heap_changes_bump_the_version(self, op):
-        heap = HeapModel()
+        heap, stack = HeapModel(), StackModel()
         addr = heap.malloc(64)
         heap.malloc(64)  # keeps the block from growing in place
-        version = heap.version
+        seen = _hooked(heap, stack)
+        before = metered(heap, stack)
         if op == "malloc":
             heap.malloc(8)
         elif op == "free":
             heap.free(addr)
         else:
             assert heap.realloc(addr, 4096)[0] != addr
-        assert heap.version > version
+        assert metered(heap, stack) != before
+        assert seen[0] == before
 
     def test_touching_new_pages_bumps_the_version(self):
-        heap = HeapModel()
+        heap, stack = HeapModel(), StackModel()
         addr = heap.malloc(3 * PAGE_SIZE)
         heap.touched_pages.clear()  # as if mapped but never written
-        version = heap.version
+        seen = _hooked(heap, stack)
+        before = metered(heap, stack)
         assert heap.touch_bytes(addr, PAGE_SIZE) == 1
-        assert heap.version > version
+        assert seen == [before]
 
     @pytest.mark.parametrize("size", [64, 256])
     def test_realloc_in_place_changes_nothing_metered(self, size):
         heap, stack = HeapModel(), StackModel()
         addr = heap.malloc(256)
-        before, version = metered(heap, stack), heap.version
+        seen = _hooked(heap, stack)
+        before = metered(heap, stack)
         assert heap.realloc(addr, size) == (addr, 0)
         assert metered(heap, stack) == before
-        assert heap.version == version
+        assert seen == []
 
     def test_touching_touched_pages_changes_nothing_metered(self):
         heap, stack = HeapModel(), StackModel()
         addr = heap.malloc(2 * PAGE_SIZE)
-        before, version = metered(heap, stack), heap.version
+        before = metered(heap, stack)
         assert heap.touch_bytes(addr, 2 * PAGE_SIZE) == 0
         assert metered(heap, stack) == before
-        assert heap.version == version
 
     @pytest.mark.parametrize("op", ["push", "pop"])
     def test_frame_changes_bump_the_stack_version(self, op):
-        stack = StackModel()
+        heap, stack = HeapModel(), StackModel()
         stack.push_frame(100)
-        version = stack.version
+        seen = _hooked(heap, stack)
+        before = metered(heap, stack)
         if op == "push":
             stack.push_frame(100)
         else:
             stack.pop_frame()
-        assert stack.version > version
+        assert metered(heap, stack) != before
+        assert seen == [before]
 
 
 class TestCostModel:
