@@ -13,8 +13,10 @@ from __future__ import annotations
 from repro.ir.cfg import IRFunction
 from repro.ir.dominance import compute_dominators
 from repro.ir.instr import Const, Instr, StrConst, Var
+from repro.runtime.names import BUILTINS
 
-#: ops that are referentially transparent (same args ⇒ same value)
+#: ops that are referentially transparent (same args ⇒ same value),
+#: the pure builtins' calls among them
 _PURE_OPS = frozenset(
     {
         "add",
@@ -46,35 +48,13 @@ _PURE_OPS = frozenset(
         "vertcat",
         "const",
     }
-)
-
-_PURE_CALLS = frozenset(
-    {
-        "call:abs",
-        "call:sqrt",
-        "call:exp",
-        "call:log",
-        "call:sin",
-        "call:cos",
-        "call:tan",
-        "call:floor",
-        "call:ceil",
-        "call:round",
-        "call:numel",
-        "call:length",
-        "call:size",
-        "call:eye",
-        "call:zeros",
-        "call:ones",
-        "call:mod",
-        "call:rem",
-        "call:sign",
-    }
+) | frozenset(
+    f"call:{name}" for name, spec in BUILTINS.items() if spec.pure
 )
 
 
 def _value_key(instr: Instr) -> tuple | None:
-    if instr.op not in _PURE_OPS and instr.op not in _PURE_CALLS:
+    if instr.op not in _PURE_OPS:
         return None
     if len(instr.results) != 1:
         return None

@@ -1,34 +1,30 @@
 """Dead-code elimination on SSA IR (mark-and-sweep over def-use chains).
 
-Effectful instructions (output-producing builtins, ``display``, and
-``error``) are roots; everything reachable backwards through operands
-stays.  ``rand``/``randn`` also count as effectful: they advance the
-global RNG state, so deleting a dead call would shift every later
-random value — observable through program output (and it would break
-the differential-testing contract between the compiled models and the
-interpreter).
+Effectful instructions (``display`` and the calls of the builtins whose
+``runtime.names.BUILTINS`` record sets ``effect``: output, ``error``,
+``tic``/``toc``) are roots; everything reachable backwards through
+operands stays.  ``rand``/``randn`` also count as effectful: they
+advance the global RNG state, so deleting a dead call would shift every
+later random value — observable through program output (and it would
+break the differential-testing contract between the compiled models and
+the interpreter).
 """
 
 from __future__ import annotations
 
 from repro.ir.cfg import IRFunction
 from repro.ir.instr import Branch, Instr, Var
+from repro.runtime.names import BUILTINS
 
-_EFFECT_CALLS = frozenset(
-    {
-        "call:disp",
-        "call:fprintf",
-        "call:error",
-        "call:tic",
-        "call:toc",
-        "call:rand",   # advances observable RNG state
-        "call:randn",
-    }
+#: the ops that are roots: ``display`` and the effectful builtins' calls
+_ROOT_OPS = frozenset(
+    ["display"]
+    + [f"call:{name}" for name, spec in BUILTINS.items() if spec.effect]
 )
 
 
 def _has_effect(instr: Instr) -> bool:
-    return instr.op == "display" or instr.op in _EFFECT_CALLS
+    return instr.op in _ROOT_OPS
 
 
 def eliminate_dead_code(func: IRFunction) -> int:

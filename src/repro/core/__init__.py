@@ -29,12 +29,7 @@ from repro.core.interference import (
     InterferenceStats,
     build_interference_graph,
 )
-from repro.core.opsem import (
-    ELEMENTWISE_SAFE_BUILTINS,
-    OpsemConfig,
-    REDUCTION_SAFE_BUILTINS,
-    add_operator_semantics_interference,
-)
+from repro.core.opsem import OpsemConfig, add_operator_semantics_interference
 from repro.core.partial import (
     PartialInterferenceReport,
     PartialPair,
@@ -65,9 +60,7 @@ __all__ = [
     "InterferenceGraph",
     "InterferenceStats",
     "build_interference_graph",
-    "ELEMENTWISE_SAFE_BUILTINS",
     "OpsemConfig",
-    "REDUCTION_SAFE_BUILTINS",
     "add_operator_semantics_interference",
     "PartialInterferenceReport",
     "PartialPair",

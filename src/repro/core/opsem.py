@@ -21,13 +21,14 @@ dangerous case impossible.  The rules implemented here are the paper's:
 * transpose: permutes element positions — edge unless the operand is
   provably a vector or scalar (a vector's column-major layout is
   unchanged by transposition);
-* builtins: classified as elementwise-safe, reduction-safe (the C
-  mapping accumulates in registers), or unsafe.
+* builtins: classified by their ``opsem`` field in
+  ``runtime.names.BUILTINS`` as elementwise-safe, reduction-safe (the C
+  mapping accumulates in registers), layout-safe, or general (unsafe).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.cfg import IRFunction
 from repro.ir.instr import (
@@ -40,71 +41,11 @@ from repro.ir.instr import (
     StrConst,
     Var,
 )
+from repro.runtime.names import BUILTINS
 from repro.typing.infer import TypeEnvironment
 from repro.typing.shape import ConstDim
 
 from repro.core.interference import InterferenceGraph, InterferenceStats
-
-#: builtins whose result may alias an array argument (identity element
-#: mapping, computed position-by-position).
-ELEMENTWISE_SAFE_BUILTINS = frozenset(
-    {
-        "abs",
-        "sqrt",
-        "exp",
-        "log",
-        "log2",
-        "log10",
-        "sin",
-        "cos",
-        "tan",
-        "asin",
-        "acos",
-        "atan",
-        "sinh",
-        "cosh",
-        "tanh",
-        "floor",
-        "ceil",
-        "round",
-        "fix",
-        "sign",
-        "real",
-        "imag",
-        "conj",
-        "angle",
-        "mod",
-        "rem",
-        "atan2",
-        "cumsum",  # forward scan: c[i] from c[i-1], a[i] — safe in place
-    }
-)
-
-#: builtins that read all input elements into registers before writing
-#: a (smaller) result.
-REDUCTION_SAFE_BUILTINS = frozenset(
-    {
-        "sum",
-        "prod",
-        "min",
-        "max",
-        "norm",
-        "dot",
-        "trace",
-        "any",
-        "all",
-        "numel",
-        "length",
-        "ndims",
-        "size",
-        "isempty",
-        "isreal",
-    }
-)
-
-#: layout-preserving structural ops.
-LAYOUT_SAFE_BUILTINS = frozenset({"reshape"})
-
 
 @dataclass(slots=True)
 class OpsemConfig:
@@ -235,21 +176,12 @@ def _conflicting_operands(
         # operand, but we follow the paper in not special-casing glue)
         return list(instr.args)
     if instr.is_call:
-        name = instr.callee
-        if name in ELEMENTWISE_SAFE_BUILTINS:
+        spec = BUILTINS.get(instr.callee)
+        if spec is not None and spec.opsem != "general":
             return []
-        if name in REDUCTION_SAFE_BUILTINS:
-            return []
-        if name in LAYOUT_SAFE_BUILTINS:
-            return []
-        # in-place hazards only involve *array* operands; scalar args
-        # (e.g. the extents of eye/zeros/rand) are read into locals
-        return [
-            a
-            for a in instr.args
-            if isinstance(a, Var) and not _provably_scalar(a, env)
-        ]
-    # unknown op: be safe
+    # a general builtin or an unknown op: in-place hazards only involve
+    # *array* operands; scalar args (e.g. the extents of eye/zeros/rand)
+    # are read into locals
     return [
         a
         for a in instr.args

@@ -188,6 +188,37 @@ class FunctionDef(Node):
     body: list[Stmt] = field(default_factory=list)
     location: Location = field(default=UNKNOWN_LOCATION, kw_only=True)
 
+    def assigned_names(self) -> set[str]:
+        """All names that appear as assignment targets (or loop/input
+        vars): the names a call-or-index ``a(i)`` reads as a variable."""
+        names = set(self.inputs)
+
+        def scan_target(target: Expr) -> None:
+            if isinstance(target, Ident):
+                names.add(target.name)
+            elif isinstance(target, Apply) and isinstance(target.func, Ident):
+                names.add(target.func.name)
+
+        def scan(stmts: list[Stmt]) -> None:
+            for stmt in stmts:
+                if isinstance(stmt, Assign):
+                    scan_target(stmt.target)
+                elif isinstance(stmt, MultiAssign):
+                    for t in stmt.targets:
+                        scan_target(t)
+                elif isinstance(stmt, If):
+                    for _, body in stmt.branches:
+                        scan(body)
+                    scan(stmt.orelse)
+                elif isinstance(stmt, While):
+                    scan(stmt.body)
+                elif isinstance(stmt, For):
+                    names.add(stmt.var)
+                    scan(stmt.body)
+
+        scan(self.body)
+        return names
+
 
 @dataclass(slots=True)
 class Program(Node):

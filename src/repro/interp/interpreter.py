@@ -61,12 +61,10 @@ from repro.runtime.marray import (
     numel,
     unbox,
 )
-from repro.runtime.names import BUILTIN_NAMES, CONSTANT_VALUES
+from repro.runtime.names import BUILTIN_NAMES, BUILTINS, CONSTANT_VALUES
 
 #: a -nojvm MATLAB 6.1 process image
 INTERP_IMAGE_BYTES = 11 * 1024 * 1024
-
-from repro.vm.work import _TRANSCENDENTALS  # shared cost classification
 
 
 class InterpreterError(MatlabError):
@@ -254,12 +252,16 @@ class _Compiler:
         self.ends = 0
         #: the loops around the statement being compiled
         self.loops = 0
+        #: the names the function being compiled assigns, which a
+        #: call-or-index reads as variables
+        self.assigned: set[str] = set()
 
     def compile_functions(self) -> dict:
-        return {
-            name: self.block(func.body)
-            for name, func in self.user_functions.items()
-        }
+        code = {}
+        for name, func in self.user_functions.items():
+            self.assigned = func.assigned_names()
+            code[name] = self.block(func.body)
+        return code
 
     # -- statements ------------------------------------------------------
 
@@ -349,6 +351,7 @@ class _Compiler:
             for target in stmt.targets
         ]
         nargout = len(names)
+        self.check_outputs(fname, nargout, stmt.location)
         user = fname in self.user_functions
         cycles = self.library_call * max(1, nargout)
         display = stmt.display
@@ -373,7 +376,14 @@ class _Compiler:
         return multi_assign
 
     def expr_stmt(self, stmt: ast.ExprStmt):
-        value = self.expr(stmt.value)
+        # a call as a statement asks for no value
+        value = stmt.value
+        if value.__class__ is ast.Apply:
+            value = self.apply(value, nargout=0)
+        elif value.__class__ is ast.Ident:
+            value = self.ident(value, nargout=0)
+        else:
+            value = self.expr(value)
         display = stmt.display
         interp = self.interp
 
@@ -516,9 +526,11 @@ class _Compiler:
 
         return string
 
-    def ident(self, expr: ast.Ident):
+    def ident(self, expr: ast.Ident, nargout: int = 1):
         interp = self.interp
         name = expr.name
+        if name not in self.assigned:
+            self.check_outputs(name, nargout, expr.location)
         unbound = self.unbound(name)
         dispatch = self.expr_dispatch
         lookup = self.lookup
@@ -554,7 +566,9 @@ class _Compiler:
         if name in self.user_functions:
             return lambda: interp._call_user(name, [], 1)[0]
         if name in BUILTIN_NAMES:
-            return lambda: call_builtin_unboxed(interp.ctx, name, [], 1)[0]
+            return lambda: (
+                call_builtin_unboxed(interp.ctx, name, [], 1) or [None]
+            )[0]
         return _fail(MatlabRuntimeError, f"undefined name {name!r}")
 
     def unary(self, expr: ast.UnaryOp):
@@ -688,7 +702,7 @@ class _Compiler:
 
         return matrix
 
-    def apply(self, expr: ast.Apply):
+    def apply(self, expr: ast.Apply, nargout: int = 1):
         interp = self.interp
         dispatch = self.expr_dispatch
         if expr.func.__class__ is not ast.Ident:
@@ -700,6 +714,8 @@ class _Compiler:
 
             return malformed
         name = expr.func.name
+        if name not in self.assigned:
+            self.check_outputs(name, nargout, expr.location)
         ends = self.ends
         operands = [self.operand(arg) for arg in expr.args]
         subscripts = self.subscripts(
@@ -731,6 +747,18 @@ class _Compiler:
 
         return apply
 
+    def check_outputs(self, name: str, count: int, location) -> None:
+        """Refuse at compile time, as lowering does, a call of ``name``
+        for more results than it returns."""
+        if name in self.user_functions:
+            most = max(1, len(self.user_functions[name].outputs))
+        else:
+            most = BUILTINS[name].nargout if name in BUILTINS else None
+        if most is not None and count > most:
+            raise InterpreterError(
+                f"{location}: too many outputs requested from {name!r}"
+            )
+
     def call(self, name: str, args: tuple):
         """``name(args)`` when no variable ``name`` is in scope."""
         interp = self.interp
@@ -753,8 +781,10 @@ class _Compiler:
                 raise MatlabRuntimeError(message)
 
             return call_unknown
+        spec = BUILTINS.get(name)
         per_element = self.element_op * (
-            150.0 if name in _TRANSCENDENTALS else 1.0
+            150.0 if spec is not None and spec.work == "transcendental"
+            else 1.0
         )
 
         def call_builtin(scope):

@@ -39,46 +39,13 @@ from repro.ir.instr import (
     StrConst,
     Var,
 )
-from repro.runtime.names import BUILTIN_NAMES, CONSTANT_VALUES
+from repro.runtime.names import BUILTIN_NAMES, BUILTINS, CONSTANT_VALUES
 
 _MAX_INLINE_DEPTH = 64
 
 
 class LoweringError(MatlabError):
     pass
-
-
-def _assigned_names(func: ast.FunctionDef) -> set[str]:
-    """All names that appear as assignment targets (or loop/input vars)."""
-    names = set(func.inputs)
-
-    def scan_target(target: ast.Expr) -> None:
-        if isinstance(target, ast.Ident):
-            names.add(target.name)
-        elif isinstance(target, ast.Apply) and isinstance(
-            target.func, ast.Ident
-        ):
-            names.add(target.func.name)
-
-    def scan(stmts: list[ast.Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Assign):
-                scan_target(stmt.target)
-            elif isinstance(stmt, ast.MultiAssign):
-                for t in stmt.targets:
-                    scan_target(t)
-            elif isinstance(stmt, ast.If):
-                for _, body in stmt.branches:
-                    scan(body)
-                scan(stmt.orelse)
-            elif isinstance(stmt, ast.While):
-                scan(stmt.body)
-            elif isinstance(stmt, ast.For):
-                names.add(stmt.var)
-                scan(stmt.body)
-
-    scan(func.body)
-    return names
 
 
 @dataclass(slots=True)
@@ -124,7 +91,7 @@ class Lowerer:
         scope = _Scope(
             func=entry,
             rename={},
-            assigned=_assigned_names(entry),
+            assigned=entry.assigned_names(),
         )
         self._scopes.append(scope)
         self._lower_body(entry.body)
@@ -249,26 +216,29 @@ class Lowerer:
                     "multi-assignment targets must be plain variables"
                 )
             names.append(self._local(t.name))
-        fname = value.func.name
-        if self._is_user_function(fname):
-            self._inline_call(fname, value.args, names, stmt.location)
-        else:
-            args = [self._lower_expr(a) for a in value.args]
-            self._emit(f"call:{fname}", names, args, stmt.location)
+        self._apply_call(value.func.name, value.args, names, stmt.location)
         if stmt.display:
             for name, t in zip(names, stmt.targets):
                 self._display(name, t.name, stmt.location)  # type: ignore[union-attr]
 
     def _lower_expr_stmt(self, stmt: ast.ExprStmt) -> None:
         value = stmt.value
-        # Effect-only builtin calls (disp/fprintf/...) produce no value.
+        # A builtin called as a statement hands over no value, so one
+        # that returns none (disp/fprintf/...) may be called this way,
+        # with parentheses or, like `tic`, without.
+        fname = None
         if isinstance(value, ast.Apply) and isinstance(value.func, ast.Ident):
-            fname = value.func.name
-            local_vars = self._scope.assigned
-            if fname not in local_vars and not self._is_user_function(fname):
-                args = [self._lower_expr(a) for a in value.args]
-                self._emit(f"call:{fname}", [], args, stmt.location)
-                return
+            fname, arg_exprs = value.func.name, value.args
+        elif isinstance(value, ast.Ident) and value.name in BUILTINS:
+            if BUILTINS[value.name].nargout == 0:
+                fname, arg_exprs = value.name, []
+        if (
+            fname is not None
+            and fname not in self._scope.assigned
+            and not self._is_user_function(fname)
+        ):
+            self._apply_call(fname, arg_exprs, [], stmt.location)
+            return
         name = self._lower_expr(value)
         if isinstance(name, Var):
             ans = self._local("ans")
@@ -583,6 +553,11 @@ class Lowerer:
             return
         if name not in BUILTIN_NAMES:
             raise LoweringError(f"{loc}: unknown function {name!r}")
+        most = BUILTINS[name].nargout if name in BUILTINS else None
+        if most is not None and len(results) > most:
+            raise LoweringError(
+                f"{loc}: too many outputs requested from {name!r}"
+            )
         args = [self._lower_expr(a) for a in arg_exprs]
         self._emit(f"call:{name}", results, args, loc)
 
@@ -634,7 +609,7 @@ class Lowerer:
         suffix = f"@{self._inline_count}"
         rename = {
             local: f"{local}{suffix}"
-            for local in _assigned_names(callee) | set(callee.outputs)
+            for local in callee.assigned_names() | set(callee.outputs)
         }
         # Bind arguments to renamed parameters.
         for param, arg in zip(callee.inputs, args):
@@ -645,7 +620,7 @@ class Lowerer:
         scope = _Scope(
             func=callee,
             rename=rename,
-            assigned=_assigned_names(callee),
+            assigned=callee.assigned_names(),
             exit_block=exit_block,
         )
         self._scopes.append(scope)

@@ -14,10 +14,9 @@ from repro.runtime.indexing import COLON, subsasgn, subsref
 from repro.runtime.marray import MArray, as_marray
 from repro.runtime.names import (
     BUILTIN_NAMES,
+    BUILTINS,
     CONSTANT_BUILTINS,
-    EFFECT_BUILTINS,
-    MULTI_BUILTINS,
-    VALUE_BUILTINS,
+    Builtin,
 )
 
 __all__ = [
@@ -33,8 +32,7 @@ __all__ = [
     "MArray",
     "as_marray",
     "BUILTIN_NAMES",
+    "BUILTINS",
     "CONSTANT_BUILTINS",
-    "EFFECT_BUILTINS",
-    "MULTI_BUILTINS",
-    "VALUE_BUILTINS",
+    "Builtin",
 ]

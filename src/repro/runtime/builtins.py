@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError
 from repro.runtime.marray import MArray, box, unbox
+from repro.runtime.names import BUILTINS
 
 
 @dataclass(slots=True)
@@ -40,6 +41,11 @@ _BUILTINS: dict[str, object] = {}
 
 
 def builtin(name: str):
+    """Register the decorated function as the builtin ``name``, which
+    must have a record in :data:`~repro.runtime.names.BUILTINS`."""
+    if name not in BUILTINS:
+        raise ValueError(f"builtin {name!r} has no record in BUILTINS")
+
     def register(fn):
         _BUILTINS[name] = fn
         return fn
@@ -206,26 +212,26 @@ def _unary(fn, preserve_flags=False):
     return apply
 
 
-_BUILTINS["abs"] = _unary(np.abs)
-_BUILTINS["exp"] = _unary(np.exp)
-_BUILTINS["sin"] = _unary(np.sin)
-_BUILTINS["cos"] = _unary(np.cos)
-_BUILTINS["tan"] = _unary(np.tan)
-_BUILTINS["asin"] = _unary(np.arcsin)
-_BUILTINS["acos"] = _unary(np.arccos)
-_BUILTINS["atan"] = _unary(np.arctan)
-_BUILTINS["sinh"] = _unary(np.sinh)
-_BUILTINS["cosh"] = _unary(np.cosh)
-_BUILTINS["tanh"] = _unary(np.tanh)
-_BUILTINS["floor"] = _unary(np.floor)
-_BUILTINS["ceil"] = _unary(np.ceil)
-_BUILTINS["round"] = _unary(np.round)
-_BUILTINS["fix"] = _unary(np.trunc)
-_BUILTINS["sign"] = _unary(np.sign)
-_BUILTINS["real"] = _unary(np.real)
-_BUILTINS["imag"] = _unary(np.imag)
-_BUILTINS["conj"] = _unary(np.conj)
-_BUILTINS["angle"] = _unary(np.angle)
+builtin("abs")(_unary(np.abs))
+builtin("exp")(_unary(np.exp))
+builtin("sin")(_unary(np.sin))
+builtin("cos")(_unary(np.cos))
+builtin("tan")(_unary(np.tan))
+builtin("asin")(_unary(np.arcsin))
+builtin("acos")(_unary(np.arccos))
+builtin("atan")(_unary(np.arctan))
+builtin("sinh")(_unary(np.sinh))
+builtin("cosh")(_unary(np.cosh))
+builtin("tanh")(_unary(np.tanh))
+builtin("floor")(_unary(np.floor))
+builtin("ceil")(_unary(np.ceil))
+builtin("round")(_unary(np.round))
+builtin("fix")(_unary(np.trunc))
+builtin("sign")(_unary(np.sign))
+builtin("real")(_unary(np.real))
+builtin("imag")(_unary(np.imag))
+builtin("conj")(_unary(np.conj))
+builtin("angle")(_unary(np.angle))
 
 
 @builtin("sqrt")
@@ -245,8 +251,8 @@ def _log(ctx, args, nargout):
         return [MArray.from_numpy(np.log(data))]
 
 
-_BUILTINS["log2"] = _unary(np.log2)
-_BUILTINS["log10"] = _unary(np.log10)
+builtin("log2")(_unary(np.log2))
+builtin("log10")(_unary(np.log10))
 
 
 @builtin("mod")
@@ -291,8 +297,8 @@ def _reduce(np_fn):
     return apply
 
 
-_BUILTINS["sum"] = _reduce(np.sum)
-_BUILTINS["prod"] = _reduce(np.prod)
+builtin("sum")(_reduce(np.sum))
+builtin("prod")(_reduce(np.prod))
 
 
 @builtin("cumsum")
@@ -332,8 +338,8 @@ def _minmax(np_fn, np_arg_fn):
     return apply
 
 
-_BUILTINS["min"] = _minmax(np.min, np.argmin)
-_BUILTINS["max"] = _minmax(np.max, np.argmax)
+builtin("min")(_minmax(np.min, np.argmin))
+builtin("max")(_minmax(np.max, np.argmax))
 
 
 @builtin("any")

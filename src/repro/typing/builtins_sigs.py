@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro.ir.instr import Const, Instr, Operand, StrConst, Var
+from repro.runtime.names import BUILTINS
 from repro.typing.intrinsic import Intrinsic
 from repro.typing.ranges import Interval
 from repro.typing.shape import (
@@ -68,6 +69,13 @@ _HANDLERS: dict[str, object] = {}
 
 
 def handler(name: str):
+    """Register the decorated function as the type rule of ``name``, a
+    builtin that returns a value (nonzero ``nargout`` in
+    :data:`~repro.runtime.names.BUILTINS`)."""
+    spec = BUILTINS.get(name)
+    if spec is None or spec.nargout == 0:
+        raise ValueError(f"{name!r} is not a builtin that returns a value")
+
     def register(fn):
         _HANDLERS[name] = fn
         return fn
@@ -94,11 +102,14 @@ def _constructor_shape(args: list[ArgView]) -> Shape:
 
 
 def _extent(arg: ArgView) -> Dim:
-    """A constructor's extent argument; a negative constant makes an
-    empty dimension, as in MATLAB."""
+    """A constructor's extent argument; a negative one makes an empty
+    dimension, as in MATLAB, so a value that may be negative gives an
+    unknown extent."""
     d = arg.as_dim()
     if isinstance(d, ConstDim) and d.value < 0:
         return ConstDim(0)
+    if isinstance(d, ValueDim) and not arg.vt().range.is_nonnegative:
+        return fresh_dim()
     return d
 
 
@@ -125,10 +136,16 @@ def _eye(args, nresults):
 
 
 @handler("rand")
-@handler("randn")
 def _rand(args, nresults):
-    rng = Interval.bounded(0.0, 1.0) if True else Interval.top()
+    rng = Interval.bounded(0.0, 1.0)
     return [VarType(Intrinsic.REAL, _constructor_shape(args), rng)]
+
+
+@handler("randn")
+def _randn(args, nresults):
+    return [
+        VarType(Intrinsic.REAL, _constructor_shape(args), Interval.top())
+    ]
 
 
 @handler("linspace")
@@ -254,24 +271,24 @@ def _real_preserving(base: VarType) -> Intrinsic:
     return Intrinsic.REAL
 
 
-_HANDLERS["exp"] = _elementwise(_real_preserving)
-_HANDLERS["sin"] = _elementwise(
+handler("exp")(_elementwise(_real_preserving))
+handler("sin")(_elementwise(
     _real_preserving, lambda r: Interval.bounded(-1.0, 1.0)
-)
-_HANDLERS["cos"] = _elementwise(
+))
+handler("cos")(_elementwise(
     _real_preserving, lambda r: Interval.bounded(-1.0, 1.0)
-)
-_HANDLERS["tan"] = _elementwise(_real_preserving)
-_HANDLERS["asin"] = _elementwise(_real_preserving)
-_HANDLERS["acos"] = _elementwise(_real_preserving)
-_HANDLERS["atan"] = _elementwise(
+))
+handler("tan")(_elementwise(_real_preserving))
+handler("asin")(_elementwise(_real_preserving))
+handler("acos")(_elementwise(_real_preserving))
+handler("atan")(_elementwise(
     _real_preserving, lambda r: Interval.bounded(-math.pi / 2, math.pi / 2)
-)
-_HANDLERS["sinh"] = _elementwise(_real_preserving)
-_HANDLERS["cosh"] = _elementwise(_real_preserving)
-_HANDLERS["tanh"] = _elementwise(
+))
+handler("sinh")(_elementwise(_real_preserving))
+handler("cosh")(_elementwise(_real_preserving))
+handler("tanh")(_elementwise(
     _real_preserving, lambda r: Interval.bounded(-1.0, 1.0)
-)
+))
 
 
 @handler("sqrt")
@@ -507,7 +524,6 @@ def _find(args, nresults):
             Shape((fresh_dim(), ConstDim(1)), exact=False),
             Interval(1.0, math.inf, integral=True),
         )
-        for _ in range(max(1, nresults))
     ]
 
 

@@ -35,11 +35,6 @@ from repro.core.allocation import (
     MAY_RESIZE,
     NO_RESIZE,
 )
-from repro.core.opsem import (
-    ELEMENTWISE_SAFE_BUILTINS,
-    LAYOUT_SAFE_BUILTINS,
-    REDUCTION_SAFE_BUILTINS,
-)
 from repro.ir.cfg import IRFunction
 from repro.ir.instr import (
     Branch,
@@ -52,6 +47,7 @@ from repro.ir.instr import (
     StrConst,
     Var,
 )
+from repro.runtime.names import BUILTINS
 from repro.typing.infer import TypeEnvironment
 from repro.typing.shape import ConstDim
 
@@ -275,13 +271,6 @@ _ALWAYS_INPLACE = frozenset(
      "display"}
 )
 
-_INPLACE_SAFE_CALLS = (
-    ELEMENTWISE_SAFE_BUILTINS
-    | REDUCTION_SAFE_BUILTINS
-    | LAYOUT_SAFE_BUILTINS
-)
-
-
 def _illegal_inplace_operands(
     instr: Instr, env: TypeEnvironment
 ) -> list[Var]:
@@ -321,7 +310,11 @@ def _illegal_inplace_operands(
         ]
     elif op in ("horzcat", "vertcat"):
         hazards = list(instr.args)
-    elif instr.is_call and instr.callee in _INPLACE_SAFE_CALLS:
+    elif (
+        instr.is_call
+        and instr.callee in BUILTINS
+        and BUILTINS[instr.callee].opsem != "general"
+    ):
         hazards = []
     else:
         hazards = [

@@ -3,44 +3,31 @@
 This is the cost both compilation models share — the actual numeric
 work — so :class:`repro.vm.base.Engine` computes it once per executed
 instruction and hands it to every meter.  What distinguishes mat2c
-and mcc is the *overhead* each meter adds around it.  Sizes are read
-through :func:`~repro.runtime.marray.numel`, so an unboxed scalar
-operand counts one element, as its boxed form does.
+and mcc is the *overhead* each meter adds around it.  A builtin call
+costs per element what its ``work`` class in
+``runtime.names.BUILTINS`` says.  Sizes are read through
+:func:`~repro.runtime.marray.numel`, so an unboxed scalar operand
+counts one element, as its boxed form does.
 """
 
 from __future__ import annotations
 
 from repro.ir.instr import Instr
 from repro.runtime.marray import MArray, numel
-
-_CHEAP_CALLS = frozenset(
-    {"size", "numel", "length", "ndims", "isempty", "isreal", "tic", "toc"}
-)
+from repro.runtime.names import BUILTINS
 
 #: libm-grade per-element cost (UltraSPARC-era transcendentals are two
 #: orders of magnitude above an add — this is why adpt, dominated by
 #: integrand evaluations, shows the paper's smallest mat2c/mcc gap)
 _TRANSCENDENTAL_COST = 150.0
-_TRANSCENDENTALS = frozenset(
-    {
-        "sin",
-        "cos",
-        "tan",
-        "asin",
-        "acos",
-        "atan",
-        "atan2",
-        "sinh",
-        "cosh",
-        "tanh",
-        "exp",
-        "log",
-        "log2",
-        "log10",
-    }
-)
-_SLOWISH_CALLS = frozenset({"sqrt", "norm", "mod", "rem"})
 _SLOWISH_COST = 25.0
+#: a builtin's per-element cost by its ``work`` class (``unit`` calls
+#: cost one operation in all)
+_PER_ELEMENT = {
+    "transcendental": _TRANSCENDENTAL_COST,
+    "slowish": _SLOWISH_COST,
+    "plain": None,
+}
 
 
 def computation_work(instr: Instr, args: list, results: list) -> float:
@@ -60,15 +47,11 @@ def work_function(instr: Instr):
     if op == "subsasgn":
         return _store_work
     if instr.is_call:
-        callee = instr.callee
-        if callee in _CHEAP_CALLS:
+        spec = BUILTINS.get(instr.callee)
+        work = spec.work if spec is not None else "plain"
+        if work == "unit":
             return _unit_work
-        if callee in _TRANSCENDENTALS:
-            per_element = _TRANSCENDENTAL_COST
-        elif callee in _SLOWISH_CALLS:
-            per_element = _SLOWISH_COST
-        else:
-            per_element = None
+        per_element = _PER_ELEMENT[work]
         return lambda args, results: _call_work(args, results, per_element)
     if op in ("elpow", "pow"):
         return _power_work

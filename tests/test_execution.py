@@ -678,6 +678,77 @@ def test_a_loop_exit_in_a_called_function_is_refused(keyword):
     assert str(lowered.value) == str(caught.value)
 
 
+#: calls that ask a builtin for more results than it returns, with the
+#: call each refusal names
+TOO_MANY_OUTPUTS = {
+    "value of disp": ("x = disp(1);", "disp"),
+    "value of tic": ("x = tic;", "tic"),
+    "two of sin": ("[a, b] = sin(1);", "sin"),
+    "three of max": ("[m, i, k] = max([1 3 2]);", "max"),
+    "second of sin read": ("[a, b] = sin([1 2]); disp(b)", "sin"),
+    "two of find": ("[r, c] = find([1 0 1]);", "find"),
+}
+
+
+@pytest.mark.parametrize("executor", ["mat2c", "mat2c_aliased", "interp"])
+@pytest.mark.parametrize("case", sorted(TOO_MANY_OUTPUTS))
+def test_too_many_outputs_are_refused_before_the_run(case, executor):
+    call, name = TOO_MANY_OUTPUTS[case]
+    script = f"disp(0);\nif 0\n {call}\nend\n"
+    with pytest.raises(LoweringError) as lowered:
+        compile_source(script)
+    message = str(lowered.value)
+    assert message.endswith(f": too many outputs requested from {name!r}")
+    if executor == "interp":
+        exc, output = _interpret(script)
+        assert type(exc) is InterpreterError
+        assert str(exc) == message
+        assert output == ""
+
+
+def test_too_many_outputs_of_a_user_function_are_refused_as_lowering_does():
+    sources = {
+        "main.m": "function main\ndisp(0);\n[a, b] = f(1);\nend\n",
+        "f.m": "function y = f(x)\ny = x;\nend\n",
+    }
+    ctx = RuntimeContext()
+    with pytest.raises(InterpreterError) as caught:
+        interpret(parse_program(sources), ctx)
+    assert ctx.captured() == ""
+    with pytest.raises(LoweringError) as lowered:
+        compile_program(sources)
+    assert str(lowered.value) == str(caught.value)
+    assert str(caught.value).endswith("too many outputs requested from 'f'")
+
+
+@pytest.mark.parametrize("statement", ["nofunc(3);", "[a, b] = nofunc(3);"])
+def test_an_unknown_function_is_refused_in_every_call_form(statement):
+    # as `y = nofunc(3);` is: before, the VM dropped the call unmade
+    with pytest.raises(LoweringError, match="unknown function 'nofunc'"):
+        compile_source(f"disp(1);\n{statement}\n")
+
+
+#: calls within each builtin's results: the zero-result ones as
+#: statements, with and without parentheses, and any number from size
+WITHIN_OUTPUTS = (
+    "tic; tic(); disp(1);\n[m, i] = max([1 3 2]); disp([m i]);\n"
+    "[r, c, p] = size(ones(2, 3)); disp([r c p]);\nx = toc; toc;\n"
+)
+
+
+@pytest.mark.parametrize("executor", ["mat2c", "mat2c_aliased", "interp"])
+def test_calls_within_a_builtins_results_run(executor):
+    result = compile_source(WITHIN_OUTPUTS)
+    run = {
+        "mat2c": lambda: result.run_mat2c(RuntimeContext()),
+        "mat2c_aliased": lambda: result.run_mat2c(
+            RuntimeContext(), aliased=True
+        ),
+        "interp": lambda: result.run_interpreter(RuntimeContext()),
+    }[executor]
+    assert run().output == "1\n3  2\n2  3  1\n"
+
+
 #: constant and run-time negative extents, for the three constructors
 NEGATIVE_EXTENTS = (
     "n = -floor(rand(1)) - 1; x = zeros(2, -1); y = ones(n, 3);\n"

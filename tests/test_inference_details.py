@@ -202,10 +202,11 @@ class TestSparseFixpoint:
         # b(1, 2) is in bounds while n#3 >= 2: true for three passes,
         # after which n's lower bound falls below 2 with b#1's type
         # unchanged.  Only the lookup of n#3's range behind the extent
-        # ⌊n#3⌋ makes the store's transfer run again and grow b.
+        # ⌊n#3⌋ makes the store's transfer run again and grow b.  (n
+        # stays nonnegative: an extent that may be negative is unknown.)
         func, env = infer(
             "n = floor(rand(1) * 4) + 5;\n"
-            "for k = 1:10\n n = n - 1;\n b = zeros(1, n);\n"
+            "for k = 1:10\n n = abs(n - 1);\n b = zeros(1, n);\n"
             " b(1, 2) = 1;\n disp(b);\nend\n"
         )
         b = type_of(func, env, "b")

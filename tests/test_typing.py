@@ -214,6 +214,23 @@ class TestSymbolicShapes:
         shape = type_of(func, env, "a").shape
         assert shape.rank == 2
 
+    def test_run_time_negative_extent_is_unknown(self):
+        # every executor makes ones(n, 3) 0×3 for n = -1, -2, ...
+        func, env = infer(
+            "n = -floor(rand(1)) - 1; y = ones(n, 3); disp(y);"
+        )
+        first, second = type_of(func, env, "y").shape.dims
+        assert not isinstance(first, (ConstDim, ValueDim))
+        assert second == ConstDim(3)
+
+    def test_nonnegative_run_time_extent_stays_symbolic(self):
+        func, env = infer(
+            "n = floor(rand(1) * 4) + 1; y = ones(n, 3); disp(y);"
+        )
+        first, second = type_of(func, env, "y").shape.dims
+        assert isinstance(first, ValueDim)
+        assert second == ConstDim(3)
+
 
 class TestRanges:
     def test_literal_exact_range(self):
@@ -225,6 +242,15 @@ class TestRanges:
         func, env = infer("a = rand(3); disp(a);")
         rng = type_of(func, env, "a").range
         assert rng.lo == 0.0 and rng.hi == 1.0
+
+    def test_randn_range_is_unbounded(self):
+        # a negative draw makes the square root complex
+        func, env = infer(
+            "x = randn(1, 1); y = sqrt(x); z = [y y]; disp(z);"
+        )
+        assert type_of(func, env, "x").range == Interval.top()
+        assert str(type_of(func, env, "y")) == "COMPLEX(1, 1)"
+        assert str(type_of(func, env, "z")) == "COMPLEX(1, 2)"
 
     def test_loop_counter_widened(self):
         func, env = infer(
